@@ -38,9 +38,10 @@ type Options struct {
 	// run: assertions not yet decided degrade to Unknown and the result
 	// is reported Incomplete.
 	Ctx context.Context
-	// MaxVars and MaxClauses cap each assertion's CNF encoding; an
-	// encoding that trips a cap degrades that assertion to Unknown
-	// instead of exhausting memory. Zero means DefaultMaxVars /
+	// MaxVars and MaxClauses cap each CNF encoding — one per assertion
+	// in ModePerAssert, the whole-program encoding in ModeShared. An
+	// encoding that trips a cap degrades the assertions it covers to
+	// Unknown instead of exhausting memory. Zero means DefaultMaxVars /
 	// DefaultMaxClauses; negative disables the cap.
 	MaxVars    int
 	MaxClauses int
@@ -68,26 +69,11 @@ type Options struct {
 	// Solver tunes the SAT solver (ablations).
 	Solver sat.Options
 	// Mode selects the back-end strategy: per-assertion solvers (the
-	// paper's loop, the default), one shared incremental solver, or a
-	// portfolio race. All modes produce identical verdicts and
-	// counterexample sets — counterexamples are canonically ordered by
-	// trace key in every mode — so Mode is verdict-neutral.
+	// paper's loop, the default) or one shared incremental solver. Both
+	// produce identical verdicts and counterexample sets —
+	// counterexamples are canonically ordered by trace key in either
+	// mode — so Mode is verdict-neutral.
 	Mode SolveMode
-	// PortfolioWidth is the number of solver configurations raced per
-	// hard assertion in ModePortfolio (0 = DefaultPortfolioWidth,
-	// clamped to sat.PortfolioWidthMax). Width 1 degenerates to the
-	// per-assertion mode.
-	PortfolioWidth int
-	// LearntBlob seeds the shared-mode solver with learnt clauses
-	// exported by a previous run over the same program (ModeShared
-	// only). The blob is validated against the freshly encoded CNF's
-	// hash; any mismatch or corruption degrades to a cold solve.
-	LearntBlob []byte
-	// LearntSink, when non-nil, receives the shared-mode solver's
-	// exported learnt clauses after the run — the persistence half of
-	// warm-starting. Never called when the export would be unsound
-	// (see SolveShared's epoch gating).
-	LearntSink func(blob []byte)
 	// Parallelism bounds how many assertions one Solve checks
 	// concurrently. Zero or one means sequential (the default, which
 	// reproduces the paper's loop exactly); results are identical either
@@ -121,36 +107,24 @@ const (
 	ModePerAssert SolveMode = iota
 	// ModeShared encodes the whole program once and checks each
 	// assertion under a selector assumption on one incremental solver,
-	// retaining learnt clauses across assertions (and, with a
-	// LearntBlob/LearntSink pair, across runs).
+	// retaining learnt clauses across assertions.
 	ModeShared
-	// ModePortfolio races distinct solver configurations per hard
-	// assertion, first canonical answer wins.
-	ModePortfolio
 )
 
 // String returns the mode's wire spelling.
 func (m SolveMode) String() string {
-	switch m {
-	case ModeShared:
+	if m == ModeShared {
 		return "shared"
-	case ModePortfolio:
-		return "portfolio"
-	default:
-		return "per-assert"
 	}
+	return "per-assert"
 }
-
-// DefaultPortfolioWidth is the portfolio width when Options.PortfolioWidth
-// is zero: the base configuration plus two heuristic variants.
-const DefaultPortfolioWidth = 3
 
 // DefaultMaxCEX bounds counterexample enumeration per assertion.
 const DefaultMaxCEX = 4096
 
-// Default resource ceilings for per-assertion CNF encodings. They are
-// far above anything the paper's corpus produces; tripping one means the
-// input is pathological and the assertion degrades to Unknown.
+// Default resource ceilings for CNF encodings. They are far above
+// anything the paper's corpus produces; tripping one means the input is
+// pathological and the assertions it covers degrade to Unknown.
 const (
 	DefaultMaxVars    = 2_000_000
 	DefaultMaxClauses = 8_000_000
@@ -309,10 +283,14 @@ type AssertResult struct {
 	// EncodedVars and EncodedClauses record the CNF(B_i) size.
 	EncodedVars    int
 	EncodedClauses int
-	// SolverStats aggregates the SAT search effort for this assertion.
+	// SolverStats is the SAT search effort spent on this assertion. In
+	// ModeShared it is the delta of this assertion's calls on the shared
+	// solver, so summing it over a file never double-counts.
 	SolverStats sat.Stats
 	// EncodeTime and SearchTime split this assertion's wall time between
-	// CNF encoding and the SAT enumeration loop.
+	// CNF encoding and the SAT enumeration loop. EncodeTime is zero in
+	// ModeShared, where the one whole-program encoding is timed on
+	// Result.EncodeTime instead.
 	EncodeTime time.Duration
 	SearchTime time.Duration
 	// Reused is set when the assertion was not solved at all: its check
@@ -320,37 +298,6 @@ type AssertResult struct {
 	// verdict was carried over. A Reused result has no counterexamples,
 	// no encoding sizes, and no solver stats.
 	Reused bool
-
-	// racedLane records a portfolio race outcome: the lane that
-	// supplied the canonical answer (-1 = lane-0 fallback). Unexported
-	// and out-of-band of the report content — racing is verdict-neutral.
-	racedLane *int
-}
-
-// WarmStartStats reports learnt-clause persistence activity for one
-// shared-mode solve. Informational only: warm-starting injects clauses
-// already implied by the formula, so it can never change a verdict.
-type WarmStartStats struct {
-	// Attempted is set when a LearntBlob was offered to the run.
-	Attempted bool
-	// Hit is set when the blob decoded cleanly and its CNF hash matched
-	// this program's encoding; otherwise the run solved cold.
-	Hit bool
-	// ImportedClauses and ExportedClauses count the clauses moved in
-	// each direction.
-	ImportedClauses int
-	ExportedClauses int
-}
-
-// PortfolioStats reports portfolio-mode racing activity: how many
-// assertions escalated from the probe to a full race, and which lane
-// supplied each canonical answer. Informational only.
-type PortfolioStats struct {
-	Races int
-	// WinsByLane maps lane index → races whose canonical answer that
-	// lane supplied (-1 keys the deterministic lane-0 fallback when no
-	// lane produced a canonical answer).
-	WinsByLane map[int]int
 }
 
 // Result is a whole-program verification outcome.
@@ -369,19 +316,16 @@ type Result struct {
 	// ParseErrors records syntax errors the parser recovered from: the
 	// model then covers only what parsed, so the result is Incomplete.
 	ParseErrors []string
-	// WarmStart is populated by shared-mode solves that were offered a
-	// learnt blob or asked to export one; nil otherwise.
-	WarmStart *WarmStartStats
-	// Portfolio is populated by portfolio-mode solves; nil otherwise.
-	Portfolio *PortfolioStats
+	// EncodeTime is the wall time of a shared-mode solve's single
+	// whole-program encoding; zero in ModePerAssert.
+	EncodeTime time.Duration
 }
 
 // sortCounterexamples puts one assertion's counterexamples into
-// canonical trace-key order. Every solve mode applies it, which is what
-// makes reports byte-identical across per-assertion, shared, and
-// portfolio solving: a complete enumeration always discovers the same
-// *set* of trace classes, only the discovery order is heuristic-
-// dependent.
+// canonical trace-key order. Both solve modes apply it, which is what
+// makes reports byte-identical across per-assertion and shared solving:
+// a complete enumeration always discovers the same *set* of trace
+// classes, only the discovery order is heuristic-dependent.
 func sortCounterexamples(ar *AssertResult) {
 	if len(ar.Counterexamples) < 2 {
 		return

@@ -177,29 +177,44 @@ func TestConcurrentHookPanicsIsolated(t *testing.T) {
 	}
 }
 
+// solveModes are the two dispatch modes; the resource ceilings must
+// degrade the same way under either.
+var solveModes = []SolveMode{ModePerAssert, ModeShared}
+
 // TestCNFCeilingDegrades trips the clause ceiling: the oversized encoding
 // must degrade to Unknown with a CNF-ceiling cause, not OOM or error out.
+// In shared mode the one whole-program encoding trips it.
 func TestCNFCeilingDegrades(t *testing.T) {
-	res := verify(t, branchyMixed(6), func(o *Options) {
-		o.MaxClauses = 8
-	})
-	ar := res.PerAssert[0]
-	if !ar.Unknown || !strings.Contains(ar.Cause, CauseCNFCeiling) {
-		t.Fatalf("Unknown=%v Cause=%q, want Unknown with %q", ar.Unknown, ar.Cause, CauseCNFCeiling)
-	}
-	if causes := res.IncompleteCauses(); len(causes) == 0 {
-		t.Fatal("CNF ceiling trip not surfaced in IncompleteCauses")
+	for _, mode := range solveModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			res := verify(t, branchyMixed(6), func(o *Options) {
+				o.Mode = mode
+				o.MaxClauses = 8
+			})
+			ar := res.PerAssert[0]
+			if !ar.Unknown || !strings.Contains(ar.Cause, CauseCNFCeiling) {
+				t.Fatalf("Unknown=%v Cause=%q, want Unknown with %q", ar.Unknown, ar.Cause, CauseCNFCeiling)
+			}
+			if causes := res.IncompleteCauses(); len(causes) == 0 {
+				t.Fatal("CNF ceiling trip not surfaced in IncompleteCauses")
+			}
+		})
 	}
 }
 
 // TestVarCeilingDegrades trips the variable ceiling analogously.
 func TestVarCeilingDegrades(t *testing.T) {
-	res := verify(t, branchyMixed(6), func(o *Options) {
-		o.MaxVars = 2
-	})
-	ar := res.PerAssert[0]
-	if !ar.Unknown || !strings.Contains(ar.Cause, CauseCNFCeiling) {
-		t.Fatalf("Unknown=%v Cause=%q, want Unknown with %q", ar.Unknown, ar.Cause, CauseCNFCeiling)
+	for _, mode := range solveModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			res := verify(t, branchyMixed(6), func(o *Options) {
+				o.Mode = mode
+				o.MaxVars = 2
+			})
+			ar := res.PerAssert[0]
+			if !ar.Unknown || !strings.Contains(ar.Cause, CauseCNFCeiling) {
+				t.Fatalf("Unknown=%v Cause=%q, want Unknown with %q", ar.Unknown, ar.Cause, CauseCNFCeiling)
+			}
+		})
 	}
 }
 

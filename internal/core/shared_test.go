@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"webssari/internal/cnf"
 	"webssari/internal/flow"
 	"webssari/internal/prelude"
+	"webssari/internal/sat"
 )
 
 func verifyShared(t *testing.T, src string) *Result {
@@ -134,5 +137,72 @@ mysql_query($x);`)
 			t.Fatalf("assert %d: %d counterexamples, want 2 (selector gating broken)",
 				i, len(ar.Counterexamples))
 		}
+	}
+}
+
+// TestSharedSolverStatsArePerAssertion checks that shared mode charges
+// each assertion only for its own calls on the shared solver: summed
+// over a file where several assertions reach SAT, the per-assertion
+// stats must equal the solver's final counters, not a multiple of them.
+// The final counters come from replaying the same checks, in order, on
+// a solver the test owns.
+func TestSharedSolverStatsArePerAssertion(t *testing.T) {
+	prog, errs := flow.BuildSource("test.php", []byte(`<?php
+$x = $_GET['a'];
+if ($c1) { $x = $x . '1'; }
+if ($c2) { $x = $x . '2'; }
+if ($c3) { $y = $_POST['b']; } else { $y = 'ok'; }
+echo $x;
+echo $y;
+mysql_query($x . $y);`), flow.Options{Prelude: prelude.Default()})
+	if len(errs) != 0 {
+		t.Fatalf("build: %v", errs)
+	}
+	p, err := CompileAI(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MaxCounterexamples: DefaultMaxCEX}
+	res, err := SolveShared(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	encoded, err := cnf.EncodeAllChecks(p.System, opts.cnfOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := sat.New()
+	if !encoded.F.LoadInto(solver) {
+		t.Fatal("shared encoding is trivially unsat")
+	}
+	var sum sat.Stats
+	violated := 0
+	for i, ar := range res.PerAssert {
+		sum.Add(ar.SolverStats)
+		if len(ar.Counterexamples) > 0 {
+			violated++
+		}
+		if encoded.TrivialUnsat[i] {
+			continue
+		}
+		replay := &AssertResult{Assert: ar.Assert}
+		if err := enumerateShared(p.System, encoded, solver, i, opts, replay); err != nil {
+			t.Fatal(err)
+		}
+		if replay.SolverStats != ar.SolverStats {
+			t.Errorf("assert %d: stats %+v, replay %+v", i, ar.SolverStats, replay.SolverStats)
+		}
+	}
+	if violated < 2 {
+		t.Fatalf("%d assertion(s) reached SAT, want several", violated)
+	}
+	final := solver.Stats()
+	if sum.Decisions != final.Decisions || sum.Propagations != final.Propagations ||
+		sum.Conflicts != final.Conflicts || sum.LearntClauses != final.LearntClauses {
+		t.Fatalf("per-assertion stats sum to %+v, the solver's final counters are %+v", sum, final)
+	}
+	if sum.Decisions == 0 {
+		t.Fatal("no decisions recorded")
 	}
 }

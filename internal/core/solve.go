@@ -114,7 +114,7 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 				}
 				continue
 			}
-			ar, err := checkOne(ctx, sys, idx, opts)
+			ar, err := checkAssertion(ctx, sys, idx, opts)
 			if err != nil {
 				// Fault isolation: a panic or internal error in one
 				// assertion's encode/solve degrades it to Unknown.
@@ -166,20 +166,8 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 		res.Warnings = append(res.Warnings, fmt.Sprintf(
 			"deadline expired before assert_%d: %d assertion(s) unchecked", firstSkipped, skippedCount))
 	}
-	if opts.Mode == ModePortfolio {
-		res.Portfolio = collectPortfolioStats(ctx, results)
-	}
 	recordSolveMetrics(ctx, res)
 	return res
-}
-
-// checkOne routes one assertion to the mode's checker: the plain
-// per-assertion loop, or the portfolio race.
-func checkOne(ctx context.Context, sys *constraint.System, idx int, opts Options) (*AssertResult, error) {
-	if opts.Mode == ModePortfolio {
-		return checkAssertionPortfolio(ctx, sys, idx, opts)
-	}
-	return checkAssertion(ctx, sys, idx, opts)
 }
 
 // recordSolveMetrics rolls one Result's counters into the context's
@@ -286,18 +274,7 @@ func checkAssertion(ctx context.Context, sys *constraint.System, idx int, opts O
 		return ar, nil
 	}
 
-	enumerateAssert(ctx, sys, idx, encoded, opts, opts.Solver, ar)
-	return ar, nil
-}
-
-// enumerateAssert runs the counterexample enumeration loop of §3.3.2
-// over an already encoded check, on a fresh solver built from sopts
-// (the context interrupt is merged in here). It fills ar's search-side
-// fields and leaves the counterexamples in canonical trace-key order.
-// The encoded artifact is only read, never written, so any number of
-// enumerations — portfolio lanes — may share one Encoded concurrently.
-func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encoded *cnf.Encoded, opts Options, sopts sat.Options, ar *AssertResult) {
-	check := sys.Checks[idx]
+	sopts := opts.Solver
 	sopts.Interrupt = interruptFor(ctx, sopts.Interrupt)
 	solver := sat.NewWith(sopts)
 
@@ -315,7 +292,7 @@ func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encod
 	}()
 
 	if !encoded.F.LoadInto(solver) {
-		return
+		return ar, nil
 	}
 
 	seen := make(map[string]bool)
@@ -326,12 +303,12 @@ func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encod
 		if ctx.Err() != nil {
 			ar.Unknown = true
 			ar.Cause = CauseDeadline
-			return
+			return ar, nil
 		}
 		verdict := solver.Solve()
 		ar.SolverStats = solver.Stats()
 		if verdict == sat.Unsat {
-			return
+			return ar, nil
 		}
 		if verdict != sat.Sat {
 			// The solver gave up: either the wall-clock deadline fired
@@ -344,7 +321,7 @@ func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encod
 			} else {
 				ar.Cause = CauseConflictBudget
 			}
-			return
+			return ar, nil
 		}
 		model := solver.Model()
 		branches := encoded.DecodeBranches(model)
@@ -355,7 +332,7 @@ func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encod
 			ar.Counterexamples = append(ar.Counterexamples, cex)
 			if len(ar.Counterexamples) >= opts.MaxCounterexamples {
 				ar.Truncated = true
-				return
+				return ar, nil
 			}
 		}
 
@@ -368,10 +345,10 @@ func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encod
 		}
 		if len(blocking) == 0 {
 			// No branch variables: the single model class is exhausted.
-			return
+			return ar, nil
 		}
 		if !solver.AddClause(blocking...) {
-			return
+			return ar, nil
 		}
 	}
 }

@@ -131,6 +131,22 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
+// Since returns the counters accrued after the snapshot o was taken of
+// the same solver: how much effort the calls in between cost. MaxDepth
+// stays s's running maximum, which has no meaningful difference.
+func (s Stats) Since(o Stats) Stats {
+	return Stats{
+		Decisions:      s.Decisions - o.Decisions,
+		Propagations:   s.Propagations - o.Propagations,
+		Conflicts:      s.Conflicts - o.Conflicts,
+		Restarts:       s.Restarts - o.Restarts,
+		LearntClauses:  s.LearntClauses - o.LearntClauses,
+		DeletedClauses: s.DeletedClauses - o.DeletedClauses,
+		MinimizedLits:  s.MinimizedLits - o.MinimizedLits,
+		MaxDepth:       s.MaxDepth,
+	}
+}
+
 // String summarizes the counters.
 func (s Stats) String() string {
 	return fmt.Sprintf("decisions=%d propagations=%d conflicts=%d restarts=%d learnt=%d deleted=%d minimized=%d",

@@ -32,25 +32,28 @@ func (s JobState) Terminal() bool { return s == StateDone || s == StateFailed }
 // SolverSpec is a job's solver configuration — the wire form of
 // webssari.SolverConfig, carried under the "solver" key of both submit
 // bodies. Zero fields keep the daemon's defaults; an unknown mode is
-// rejected at admission (400). Mode, portfolio width, and warm starting
-// are verdict-neutral (they change cost, never report content), so two
-// jobs differing only in them still share cached results.
+// rejected at admission (400). The mode is verdict-neutral (it changes
+// cost, never report content), so two jobs differing only in it still
+// share cached results.
 type SolverSpec struct {
-	// Mode is the dispatch mode: "per-assert" (default), "shared", or
-	// "portfolio" (see VersionResponse.SolverModes).
+	// Mode is the dispatch mode: "per-assert" (default) or "shared" (see
+	// VersionResponse.SolverModes). The retired mode "portfolio" is still
+	// accepted and runs per-assert, which yields the same report.
 	Mode string `json:"mode,omitempty"`
 	// MaxConflicts / MaxRestarts cap SAT effort per solver call
 	// (0 = daemon default).
 	MaxConflicts uint64 `json:"max_conflicts,omitempty"`
 	MaxRestarts  uint64 `json:"max_restarts,omitempty"`
-	// Portfolio is the lane count raced per hard assertion in portfolio
-	// mode (0 = engine default).
-	Portfolio int `json:"portfolio,omitempty"`
-	// WarmStart re-imports the shared solver's learnt clauses from the
-	// daemon's result store on repeat verification (shared mode + store
-	// required; inert otherwise).
+	// Portfolio and WarmStart are retired and ignored. They still decode
+	// so that requests from older clients are admitted rather than
+	// rejected as unknown fields; SubmitResponse.Deprecated names them.
+	Portfolio int  `json:"portfolio,omitempty"`
 	WarmStart bool `json:"warm_start,omitempty"`
 }
+
+// RetiredSolverMode is the SolverSpec.Mode value the daemon accepts for
+// compatibility and runs as "per-assert".
+const RetiredSolverMode = "portfolio"
 
 // SubmitFileRequest is the POST /v1/files body.
 type SubmitFileRequest struct {
@@ -111,6 +114,9 @@ type SubmitResponse struct {
 	// TraceID is the job's distributed trace ID — taken from the
 	// submitter's `traceparent` header when present, minted otherwise.
 	TraceID string `json:"trace_id,omitempty"`
+	// Deprecated lists request fields the daemon accepted but ignored,
+	// one note each (e.g. the retired solver.portfolio).
+	Deprecated []string `json:"deprecated,omitempty"`
 }
 
 // JobStatus is one job's status rendering. SchemaV is set on top-level

@@ -11,7 +11,7 @@
 //     slots, so heavy traffic saturates the hardware without
 //     oversubscribing it. Each job runs under the engine's PR-1
 //     discipline: per-unit deadlines (WithDeadline), SAT conflict
-//     budgets (WithBudget), fault isolation per file.
+//     budgets (SolverConfig.MaxConflicts), fault isolation per file.
 //   - Results stream: every job records one NDJSON line per finished
 //     file the moment it completes, and GET /v1/jobs/{id}/stream replays
 //     then follows that stream live. The same encoder serves xbmc's
@@ -147,16 +147,10 @@ type Config struct {
 	// JobDeadline bounds each verification unit's wall time
 	// (WithDeadline: per file under directory jobs); 0 means none.
 	JobDeadline time.Duration
-	// MaxConflicts is the per-solver-call SAT budget (WithBudget); 0
-	// means unlimited.
-	//
-	// Deprecated: set Solver.MaxConflicts instead; this field remains a
-	// forwarding shim (Solver.MaxConflicts wins when both are set).
-	MaxConflicts uint64
 	// Solver is the daemon's default solver configuration
-	// (webssari.WithSolverConfig): dispatch mode, search budgets,
-	// portfolio width, warm starting. Per-job SolverSpec fields in
-	// api.SubmitFileRequest / SubmitDirRequest override it field-wise.
+	// (webssari.WithSolverConfig): dispatch mode and search budgets.
+	// Per-job SolverSpec fields in api.SubmitFileRequest /
+	// SubmitDirRequest override it field-wise.
 	Solver webssari.SolverConfig
 	// MaxSourceBytes caps a submitted source (<= 0: DefaultMaxSourceBytes).
 	MaxSourceBytes int64
@@ -237,8 +231,10 @@ type job struct {
 	policyLabel string
 
 	// Per-job solver override, validated at admission (nil keeps the
-	// daemon default).
-	solver *webssari.SolverConfig
+	// daemon default). deprecated notes the retired spec fields the
+	// submission carried, echoed in the submit response.
+	solver     *webssari.SolverConfig
+	deprecated []string
 
 	// trace is the job's distributed trace context: the submitter's
 	// traceparent, or minted at admission. Set before admission, then
@@ -556,15 +552,18 @@ func (s *Server) newJob(kind, target string, source []byte, dir string) *job {
 	s.jobsMu.Lock()
 	s.jobs[j.ID] = j
 	s.jobOrder = append(s.jobOrder, j.ID)
-	if len(s.jobOrder) > defaultRetainedJobs {
+	if excess := len(s.jobOrder) - defaultRetainedJobs; excess > 0 {
+		// Drop the oldest finished jobs, and only as many as the history
+		// is over its bound: unfinished jobs are always kept.
 		kept := s.jobOrder[:0]
 		for _, id := range s.jobOrder {
 			old := s.jobs[id]
 			old.mu.Lock()
 			finished := old.state == stateDone || old.state == stateFailed
 			old.mu.Unlock()
-			if finished && len(s.jobOrder)-len(kept) > defaultRetainedJobs {
+			if finished && excess > 0 {
 				delete(s.jobs, id)
+				excess--
 				continue
 			}
 			kept = append(kept, id)
@@ -606,7 +605,6 @@ func (s *Server) jobOptions(tel *telemetry.Telemetry, j *job) []webssari.Option 
 		StoreBackend: s.cfg.StoreBackend,
 		Telemetry:    tel,
 		Deadline:     s.deadline,
-		MaxConflicts: s.cfg.MaxConflicts,
 		Parallelism:  s.cfg.JobParallelism,
 	}
 	if base.Policy == "" && base.PolicyJSON == "" {
@@ -633,41 +631,45 @@ func mergeSolver(base, over webssari.SolverConfig) webssari.SolverConfig {
 	if over.MaxRestarts != 0 {
 		base.MaxRestarts = over.MaxRestarts
 	}
-	if over.Portfolio != 0 {
-		base.Portfolio = over.Portfolio
-	}
-	if over.WarmStart {
-		base.WarmStart = true
-	}
 	return base
 }
 
-// solverConfigOf converts a wire SolverSpec into the engine's form.
-func solverConfigOf(sp *api.SolverSpec) webssari.SolverConfig {
-	if sp == nil {
-		return webssari.SolverConfig{}
-	}
-	return webssari.SolverConfig{
+// solverConfigOf converts a wire SolverSpec into the engine's form,
+// returning a note for each retired field it ignored. The retired
+// portfolio mode maps to per-assert, whose reports it always matched.
+func solverConfigOf(sp *api.SolverSpec) (webssari.SolverConfig, []string) {
+	sc := webssari.SolverConfig{
 		Mode:         webssari.SolverMode(sp.Mode),
 		MaxConflicts: sp.MaxConflicts,
 		MaxRestarts:  sp.MaxRestarts,
-		Portfolio:    sp.Portfolio,
-		WarmStart:    sp.WarmStart,
 	}
+	var notes []string
+	if sp.Mode == api.RetiredSolverMode {
+		sc.Mode = webssari.SolverPerAssert
+		notes = append(notes, `solver.mode "portfolio" is retired; the job runs per-assert`)
+	}
+	if sp.Portfolio != 0 {
+		notes = append(notes, "solver.portfolio is retired and ignored")
+	}
+	if sp.WarmStart {
+		notes = append(notes, "solver.warm_start is retired and ignored")
+	}
+	return sc, notes
 }
 
 // setSolver validates and records a job's solver override. A non-nil
-// error is an admission failure (400) — unknown modes and invalid
-// widths are rejected before the job ever queues.
+// error is an admission failure (400) — unknown modes are rejected
+// before the job ever queues.
 func (s *Server) setSolver(j *job, sp *api.SolverSpec) error {
 	if sp == nil {
 		return nil
 	}
-	sc := solverConfigOf(sp)
+	sc, notes := solverConfigOf(sp)
 	if _, err := webssari.ExportConfig(webssari.WithSolverConfig(sc)); err != nil {
 		return err
 	}
 	j.solver = &sc
+	j.deprecated = notes
 	return nil
 }
 
@@ -1079,13 +1081,14 @@ func (s *Server) enqueue(w http.ResponseWriter, j *job) {
 		"queued", len(s.queue))
 	w.WriteHeader(http.StatusAccepted)
 	writeJSON(w, api.SubmitResponse{
-		SchemaV: api.Schema,
-		Job:     j.ID,
-		Status:  fmt.Sprintf("/v1/jobs/%s", j.ID),
-		Result:  fmt.Sprintf("/v1/jobs/%s/result", j.ID),
-		Stream:  fmt.Sprintf("/v1/jobs/%s/stream", j.ID),
-		Trace:   fmt.Sprintf("/v1/jobs/%s/trace", j.ID),
-		TraceID: j.trace.TraceID,
+		SchemaV:    api.Schema,
+		Job:        j.ID,
+		Status:     fmt.Sprintf("/v1/jobs/%s", j.ID),
+		Result:     fmt.Sprintf("/v1/jobs/%s/result", j.ID),
+		Stream:     fmt.Sprintf("/v1/jobs/%s/stream", j.ID),
+		Trace:      fmt.Sprintf("/v1/jobs/%s/trace", j.ID),
+		TraceID:    j.trace.TraceID,
+		Deprecated: j.deprecated,
 	})
 }
 

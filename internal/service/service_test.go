@@ -433,6 +433,64 @@ func TestJobHistoryEviction(t *testing.T) {
 	}
 }
 
+// TestJobHistoryKeepsNewest finishes more jobs than the history keeps,
+// one after another over HTTP, and requires the newest
+// defaultRetainedJobs of them to still answer on status, result, and
+// stream: pruning drops only the oldest finished jobs, and only as many
+// as the history is over its bound.
+func TestJobHistoryKeepsNewest(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// readStream reads a job's NDJSON stream to its end, which the
+	// daemon reaches only once the job has finished.
+	readStream := func(id string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, buf.Bytes()
+	}
+
+	var ids []string
+	for i := 0; i < defaultRetainedJobs+20; i++ {
+		code, sub := postJSON(t, ts, "/v1/files", map[string]any{
+			"name": fmt.Sprintf("p%d.php", i), "source": safeSrc,
+		})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: HTTP %d (%v)", i, code, sub)
+		}
+		id, _ := sub["job"].(string)
+		if code, _ := readStream(id); code != http.StatusOK {
+			t.Fatalf("stream of job %d while it ran: HTTP %d", i, code)
+		}
+		ids = append(ids, id)
+	}
+
+	for _, id := range ids[len(ids)-defaultRetainedJobs:] {
+		if code, _ := getJSON(t, ts, "/v1/jobs/"+id); code != http.StatusOK {
+			t.Fatalf("status of retained job %s: HTTP %d", id, code)
+		}
+		if code, _ := getJSON(t, ts, "/v1/jobs/"+id+"/result"); code != http.StatusOK {
+			t.Fatalf("result of retained job %s: HTTP %d", id, code)
+		}
+		if code, body := readStream(id); code != http.StatusOK || len(body) == 0 {
+			t.Fatalf("stream of retained job %s: HTTP %d, %d byte(s)", id, code, len(body))
+		}
+	}
+	if code, _ := getJSON(t, ts, "/v1/jobs/"+ids[0]); code != http.StatusNotFound {
+		t.Fatalf("oldest job %s: HTTP %d, want 404 once past the history bound", ids[0], code)
+	}
+}
+
 // TestSchemaStamp checks every JSON response carries the v1 schema
 // marker — the versioning contract of satellite importance: clients key
 // compatibility off this field.

@@ -1,9 +1,10 @@
 package service
 
 // Tests of the per-job solver spec: admission validation, the version
-// capability advertisement, daemon-default merging, and the wire
+// capability advertisement, daemon-default merging, the wire
 // round-trip's verdict neutrality (a solver-spec'd job must answer
-// exactly like a default one).
+// exactly like a default one), and the retired fields older clients
+// still send.
 
 import (
 	"context"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"webssari"
@@ -18,20 +20,23 @@ import (
 )
 
 // TestSubmitSolverSpec drives one vulnerable file through the daemon
-// twice — default solver and shared-mode spec — and requires identical
-// report JSON (profiles are nil on wire reports already).
+// under the default solver, a shared-mode spec, and a spec carrying the
+// retired portfolio and warm-start fields, and requires identical report
+// JSON (profiles are nil on wire reports already). The retired fields
+// are admitted, ignored, and named in the submit response.
 func TestSubmitSolverSpec(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Drain(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	submit := func(body map[string]any) map[string]any {
+	submit := func(body map[string]any) (map[string]any, []any) {
 		t.Helper()
 		code, sub := postJSON(t, ts, "/v1/files", body)
 		if code != http.StatusAccepted {
 			t.Fatalf("submit: HTTP %d (%v)", code, sub)
 		}
+		notes, _ := sub["deprecated"].([]any)
 		id, _ := sub["job"].(string)
 		st := waitDone(t, ts, id)
 		if st["state"] != string(stateDone) {
@@ -46,18 +51,34 @@ func TestSubmitSolverSpec(t *testing.T) {
 			t.Fatalf("no report in %v", res)
 		}
 		delete(rep, "profile")
-		return rep
+		return rep, notes
 	}
 
-	ref := submit(map[string]any{"name": "page.php", "source": vulnerableSrc})
-	for _, spec := range []map[string]any{
-		{"mode": "shared"},
-		{"mode": "portfolio", "portfolio": 3},
-		{"mode": "shared", "warm_start": true},
+	ref, notes := submit(map[string]any{"name": "page.php", "source": vulnerableSrc})
+	if len(notes) != 0 {
+		t.Errorf("default job carries deprecation notes: %v", notes)
+	}
+	for _, tc := range []struct {
+		spec    map[string]any
+		retired []string // fields the submit response must name
+	}{
+		{map[string]any{"mode": "shared"}, nil},
+		{map[string]any{"mode": "portfolio", "portfolio": 3, "warm_start": true},
+			[]string{"solver.mode", "solver.portfolio", "solver.warm_start"}},
+		{map[string]any{"mode": "shared", "warm_start": true}, []string{"solver.warm_start"}},
 	} {
-		got := submit(map[string]any{"name": "page.php", "source": vulnerableSrc, "solver": spec})
+		got, notes := submit(map[string]any{"name": "page.php", "source": vulnerableSrc, "solver": tc.spec})
 		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("solver spec %v changed the report:\n got %v\nwant %v", spec, got, ref)
+			t.Errorf("solver spec %v changed the report:\n got %v\nwant %v", tc.spec, got, ref)
+		}
+		if len(notes) != len(tc.retired) {
+			t.Errorf("solver spec %v: deprecation notes %v, want one for each of %v", tc.spec, notes, tc.retired)
+			continue
+		}
+		for i, field := range tc.retired {
+			if note, _ := notes[i].(string); !strings.Contains(note, field) {
+				t.Errorf("solver spec %v: note %q does not name %s", tc.spec, note, field)
+			}
 		}
 	}
 }
@@ -71,7 +92,7 @@ func TestSubmitSolverSpecValidation(t *testing.T) {
 
 	cases := []map[string]any{
 		{"mode": "quantum"},
-		{"portfolio": -1},
+		{"max_conflicts": -1},
 	}
 	for _, spec := range cases {
 		code, body := postJSON(t, ts, "/v1/files", map[string]any{
@@ -111,7 +132,7 @@ func TestVersionAdvertisesSolverModes(t *testing.T) {
 	if err := json.Unmarshal(raw, &v); err != nil {
 		t.Fatal(err)
 	}
-	want := webssari.SolverModes()
+	want := []string{"per-assert", "shared"}
 	if !reflect.DeepEqual(v.SolverModes, want) {
 		t.Fatalf("solver_modes = %v, want %v", v.SolverModes, want)
 	}
@@ -120,14 +141,13 @@ func TestVersionAdvertisesSolverModes(t *testing.T) {
 // TestMergeSolver pins the field-wise overlay of per-job specs onto the
 // daemon default.
 func TestMergeSolver(t *testing.T) {
-	base := webssari.SolverConfig{Mode: webssari.SolverShared, MaxConflicts: 100, WarmStart: true}
-	over := webssari.SolverConfig{Mode: webssari.SolverPortfolio, Portfolio: 4}
+	base := webssari.SolverConfig{Mode: webssari.SolverShared, MaxConflicts: 100}
+	over := webssari.SolverConfig{Mode: webssari.SolverPerAssert, MaxRestarts: 4}
 	got := mergeSolver(base, over)
 	want := webssari.SolverConfig{
-		Mode:         webssari.SolverPortfolio,
+		Mode:         webssari.SolverPerAssert,
 		MaxConflicts: 100,
-		Portfolio:    4,
-		WarmStart:    true,
+		MaxRestarts:  4,
 	}
 	if got != want {
 		t.Fatalf("mergeSolver = %+v, want %+v", got, want)

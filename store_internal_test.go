@@ -1,0 +1,49 @@
+package webssari
+
+// Internal test of result-store addressing: resultKey and the config
+// fingerprint inside it are unexported, so the test lives inside the
+// package.
+
+import "testing"
+
+// TestResultKeyDiscriminates pins what addresses a stored result: the
+// entry name, the source bytes, and the verdict-shaping configuration —
+// and, just as deliberately, what does NOT (the verdict-neutral solver
+// mode, which must never fragment the cache).
+func TestResultKeyDiscriminates(t *testing.T) {
+	mk := func(opts ...Option) string {
+		t.Helper()
+		cfg, err := buildConfig(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultKey("a.php", []byte("<?php echo 1;"), cfg)
+	}
+	base := mk()
+	if mk() != base {
+		t.Fatal("result key not deterministic")
+	}
+	cfg, err := buildConfig(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultKey("b.php", []byte("<?php echo 1;"), cfg) == base {
+		t.Fatal("name does not discriminate")
+	}
+	if resultKey("a.php", []byte("<?php echo 2;"), cfg) == base {
+		t.Fatal("source does not discriminate")
+	}
+	if mk(WithPolicy("ssrf")) == base {
+		t.Fatal("policy does not discriminate")
+	}
+	if mk(WithSolverConfig(SolverConfig{MaxConflicts: 7})) == base {
+		t.Fatal("conflict budget does not discriminate")
+	}
+	if mk(WithSolverConfig(SolverConfig{MaxRestarts: 7})) == base {
+		t.Fatal("restart budget does not discriminate")
+	}
+	// The verdict-neutral dispatch mode shares the address.
+	if mk(WithSolverConfig(SolverConfig{Mode: SolverShared})) != base {
+		t.Fatal("solver mode fragmented the result key")
+	}
+}

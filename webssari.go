@@ -203,25 +203,20 @@ type config struct {
 	// the seed behavior); policyName/policyJSON record how it was
 	// selected so the choice round-trips through ExportConfig and the
 	// cluster wire format.
-	policy       *policy.Compiled
-	policyName   string
-	policyJSON   string
-	loader       func(string) ([]byte, error)
-	dir          string
-	unroll       int
-	paperMode    bool
-	blockAll     bool
-	routine      string
-	solver       sat.Options
-	// solverMode, portfolioWidth, and warmStart are the verdict-neutral
-	// halves of the SolverConfig surface; budgetViaSolver records whether
-	// the conflict budget was last set through SolverConfig (vs the
-	// deprecated WithBudget), so ExportConfig round-trips both spellings.
-	solverMode      SolverMode
-	portfolioWidth  int
-	warmStart       bool
-	budgetViaSolver bool
-	maxCEX          int
+	policy     *policy.Compiled
+	policyName string
+	policyJSON string
+	loader     func(string) ([]byte, error)
+	dir        string
+	unroll     int
+	paperMode  bool
+	blockAll   bool
+	routine    string
+	solver     sat.Options
+	// solverMode is the verdict-neutral half of the SolverConfig
+	// surface; its budgets live in solver.
+	solverMode   SolverMode
+	maxCEX       int
 	deadline     time.Duration
 	limits       ResourceLimits
 	parallelism  int
@@ -495,23 +490,6 @@ func WithDeadline(d time.Duration) Option {
 	}
 }
 
-// WithBudget caps SAT search effort at maxConflicts conflicts per solver
-// call (0 restores the default: unlimited). An exhausted budget degrades
-// the assertion to Unknown and the report to VerdictIncomplete; it never
-// silently reads as "no counterexample".
-//
-// Deprecated: use WithSolverConfig(SolverConfig{MaxConflicts: n}) — the
-// unified solver surface that also selects the dispatch mode, restart
-// budget, portfolio width, and warm starting. WithBudget remains a
-// forwarding shim and the two compose (later options win).
-func WithBudget(maxConflicts uint64) Option {
-	return func(c *config) error {
-		c.solver.MaxConflicts = maxConflicts
-		c.budgetViaSolver = false
-		return nil
-	}
-}
-
 // ResourceLimits caps model and formula sizes so pathological inputs
 // degrade into an Incomplete verdict instead of exhausting memory. Zero
 // fields keep the engine defaults; negative values disable a cap.
@@ -640,7 +618,6 @@ func (c *config) engineOptions(ctx context.Context) core.Options {
 		MaxCounterexamples: c.maxCEX,
 		Solver:             c.solver,
 		Mode:               c.coreMode(),
-		PortfolioWidth:     c.portfolioWidth,
 		Parallelism:        c.parallelism,
 		Workers:            c.workers,
 	}
@@ -648,14 +625,10 @@ func (c *config) engineOptions(ctx context.Context) core.Options {
 
 // coreMode maps the public SolverMode onto the engine's dispatch enum.
 func (c *config) coreMode() core.SolveMode {
-	switch c.solverMode {
-	case SolverShared:
+	if c.solverMode == SolverShared {
 		return core.ModeShared
-	case SolverPortfolio:
-		return core.ModePortfolio
-	default:
-		return core.ModePerAssert
 	}
+	return core.ModePerAssert
 }
 
 // applyDeadline derives the unit's context from the configured deadline.
@@ -736,7 +709,6 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 	if hint, ok := cfg.priorHints[name]; ok {
 		eopts.KnownSafeChecks = hint.knownSafeChecks(prog)
 	}
-	cfg.wireWarmStart(&eopts, name, src)
 	start = time.Now()
 	res = core.Solve(ctx, prog, eopts)
 	st.solveTime = time.Since(start)
@@ -779,25 +751,17 @@ func (st analysisStats) profile(res *core.Result) *RunProfile {
 	if st.solverMode != "" && st.solverMode != SolverPerAssert {
 		p.SolverMode = string(st.solverMode)
 	}
-	if ws := res.WarmStart; ws != nil {
-		p.WarmStart = &telemetry.WarmStartProfile{
-			Attempted:       ws.Attempted,
-			Hit:             ws.Hit,
-			ImportedClauses: ws.ImportedClauses,
-			ExportedClauses: ws.ExportedClauses,
-		}
-	}
-	if pf := res.Portfolio; pf != nil && pf.Races > 0 {
-		pp := &telemetry.PortfolioProfile{Races: pf.Races, WinsByLane: make(map[string]int, len(pf.WinsByLane))}
-		for lane, n := range pf.WinsByLane {
-			pp.WinsByLane[fmt.Sprintf("%d", lane)] = n
-		}
-		p.Portfolio = pp
+	// Shared mode encodes the whole program once: one encode stage per
+	// file, and no per-assertion encode time below.
+	if res.EncodeTime > 0 {
+		p.AddStage("encode", res.EncodeTime)
 	}
 	for i, ar := range res.PerAssert {
-		// A reused assertion ran neither encoder nor solver; counting it
-		// would make the stage table disagree with the trace's spans.
-		if !ar.Reused {
+		// A zero EncodeTime means the assertion was not encoded on its
+		// own (reused, skipped past the deadline, or covered by the
+		// shared encoding); counting it would make the stage table
+		// disagree with the trace's encode spans.
+		if ar.EncodeTime > 0 {
 			p.AddStage("encode", ar.EncodeTime)
 		}
 		// A zero SearchTime means no SAT search ran at all (the encoder
