@@ -618,8 +618,7 @@ func BenchmarkClusterVerifyDir(b *testing.B) {
 }
 
 // BenchmarkCompileStages measures the front end's cost with the typed
-// flow IR in the middle (parse → lower → BuildUnit) against the legacy
-// direct-AST walk (parse → BuildAST) it replaced, plus lowering alone,
+// flow IR in the middle (parse → lower → BuildUnit), plus lowering alone,
 // over the bundled examples/php corpus. A full core.Compile run reports
 // the per-stage wall-time split (parse/lower/flow/rename/constraints)
 // via b.ReportMetric; BENCH_compile.json records the numbers.
@@ -654,17 +653,6 @@ func BenchmarkCompileStages(b *testing.B) {
 			for _, f := range files {
 				if unit, _ := ir.LowerSource(f.name, f.src); unit == nil {
 					b.Fatalf("nil unit for %s", f.name)
-				}
-			}
-		}
-	})
-	b.Run("legacy-ast-flow", func(b *testing.B) {
-		b.SetBytes(total)
-		for i := 0; i < b.N; i++ {
-			for _, f := range files {
-				res := parser.Parse(f.name, f.src)
-				if _, err := flow.BuildAST(res.File, fopts); err != nil {
-					b.Fatal(err)
 				}
 			}
 		}

@@ -5,24 +5,36 @@ import (
 	"time"
 
 	"webssari"
+	"webssari/internal/policy"
 )
+
+// fuzzVerifySeeds seed FuzzVerify; TestDynamicSoundness runs them too.
+var fuzzVerifySeeds = []string{
+	`<?php echo $_GET['x'];`,
+	`<?php $x = $_POST['a']; if ($x) { $x = htmlspecialchars($x); } echo $x;`,
+	`<?php include 'lib.php'; mysql_query("SELECT $q");`,
+	`<?php function f($a) { return $a; } echo f($_GET['x']);`,
+	`<?php while ($i < 3) { $i = $i + 1; echo htmlspecialchars($s); }`,
+	`<?php $x = ; } } if (`,
+	"<?php\x00$x=$_GET[1];echo $x;",
+	`no php here at all`,
+	`<?php $$v = $_GET['x']; echo $$v;`,
+	`<?php eval($_REQUEST['c']); exit;`,
+}
 
 // FuzzVerify drives the whole pipeline on arbitrary bytes under tight
 // resource limits. The invariants: no panic ever escapes (faults come
-// back as *EngineError values), and any report produced is internally
+// back as *EngineError values); any report produced is internally
 // consistent — Safe and Incomplete are mutually exclusive, and the
-// verdict matches the flags.
+// verdict matches the flags; and a complete report is sound: when the
+// input parses and runs within the interpreter's step budget, no
+// attacker-seeded run leaks taint at a sink the report does not list
+// (see TestDynamicSoundness).
 func FuzzVerify(f *testing.F) {
-	f.Add([]byte(`<?php echo $_GET['x'];`))
-	f.Add([]byte(`<?php $x = $_POST['a']; if ($x) { $x = htmlspecialchars($x); } echo $x;`))
-	f.Add([]byte(`<?php include 'lib.php'; mysql_query("SELECT $q");`))
-	f.Add([]byte(`<?php function f($a) { return $a; } echo f($_GET['x']);`))
-	f.Add([]byte(`<?php while ($i < 3) { $i = $i + 1; echo htmlspecialchars($s); }`))
-	f.Add([]byte(`<?php $x = ; } } if (`))
-	f.Add([]byte("<?php\x00$x=$_GET[1];echo $x;"))
-	f.Add([]byte(`no php here at all`))
-	f.Add([]byte(`<?php $$v = $_GET['x']; echo $$v;`))
-	f.Add([]byte(`<?php eval($_REQUEST['c']); exit;`))
+	for _, seed := range fuzzVerifySeeds {
+		f.Add([]byte(seed))
+	}
+	pol := policy.Default()
 
 	limits := webssari.WithResourceLimits(webssari.ResourceLimits{
 		MaxStatements: 2000,
@@ -62,6 +74,20 @@ func FuzzVerify(f *testing.F) {
 			}
 		default:
 			t.Fatalf("unknown verdict %q", rep.Verdict)
+		}
+
+		if rep.Incomplete {
+			return
+		}
+		c := soundCase{name: "fuzz.php", src: src}
+		for _, seed := range soundnessSeeds {
+			events, err := runAttacked(c, seed)
+			if err != nil {
+				return // outside the interpreter's subset or step budget
+			}
+			if leaks, _ := unreported(pol, rep, events); len(leaks) > 0 {
+				t.Fatalf("unsound (seed %q): tainted %v with findings %+v\n%q", seed, leaks, rep.Findings, src)
+			}
 		}
 	})
 }

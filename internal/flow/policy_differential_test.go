@@ -11,6 +11,7 @@ package flow
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"webssari/internal/ai"
@@ -29,6 +30,33 @@ func buildIR(t *testing.T, name string, src []byte, opts Options) *ai.Program {
 	return prog
 }
 
+// compareAI asserts two abstract interpretations are byte-identical:
+// same printed program, warnings, branch count, initial types, and
+// truncation state.
+func compareAI(t *testing.T, want, got *ai.Program) {
+	t.Helper()
+	if g, w := got.String(), want.String(); g != w {
+		t.Errorf("AI programs differ\n--- want ---\n%s\n--- got ---\n%s", w, g)
+	}
+	if g, w := strings.Join(got.Warnings, "\n"), strings.Join(want.Warnings, "\n"); g != w {
+		t.Errorf("warnings differ\n--- want ---\n%s\n--- got ---\n%s", w, g)
+	}
+	if got.Branches != want.Branches {
+		t.Errorf("branch count: got %d, want %d", got.Branches, want.Branches)
+	}
+	if got.Truncated != want.Truncated {
+		t.Errorf("truncated: got %v, want %v", got.Truncated, want.Truncated)
+	}
+	if len(got.InitialTypes) != len(want.InitialTypes) {
+		t.Errorf("initial types: got %d entries, want %d", len(got.InitialTypes), len(want.InitialTypes))
+	}
+	for name, w := range want.InitialTypes {
+		if g, ok := got.InitialTypes[name]; !ok || g != w {
+			t.Errorf("initial type %q: got %v (present %v), want %v", name, g, ok, w)
+		}
+	}
+}
+
 func TestDefaultPolicyByteIdenticalCorpus(t *testing.T) {
 	for _, src := range differentialSources {
 		src := src
@@ -44,24 +72,15 @@ func TestDefaultPolicyByteIdenticalCorpus(t *testing.T) {
 }
 
 func TestDefaultPolicyByteIdenticalExamples(t *testing.T) {
-	dir := filepath.Join("..", "..", "examples", "php")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader := func(path string) ([]byte, error) { return os.ReadFile(path) }
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".php" {
-			continue
-		}
-		name := e.Name()
+	for _, name := range exampleFiles(t) {
+		name := name
 		t.Run(name, func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join(dir, name))
+			src, err := os.ReadFile(filepath.Join(examplesDir, name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			bare := buildIR(t, name, src, Options{Prelude: prelude.Default(), Dir: dir, Loader: loader})
-			pol := buildIR(t, name, src, Options{Policy: policy.Default(), Dir: dir, Loader: loader})
+			bare := buildIR(t, name, src, Options{Prelude: prelude.Default(), Dir: examplesDir, Loader: os.ReadFile})
+			pol := buildIR(t, name, src, Options{Policy: policy.Default(), Dir: examplesDir, Loader: os.ReadFile})
 			compareAI(t, bare, pol)
 		})
 	}

@@ -18,13 +18,24 @@ import (
 
 // BuildUnit filters one lowered IR unit (plus its static includes, which
 // are parsed and lowered on resolution) into an AI program. It is the
-// production F(p) path; BuildAST remains as the pre-IR reference whose
-// output this path reproduces byte for byte on the legacy subset, while
-// additionally supporting closures and foreach-by-reference.
+// only F(p) path. Its output is locked by testdata/ai.golden, and its
+// soundness is checked against concrete runs by TestDynamicSoundness in
+// the root package.
 func BuildUnit(unit *ir.Unit, opts Options) (*ai.Program, error) {
-	opts, err := normalizeOptions(opts)
-	if err != nil {
-		return nil, err
+	if opts.Prelude == nil && opts.Policy != nil {
+		opts.Prelude = opts.Policy.Prelude()
+	}
+	if opts.Prelude == nil {
+		return nil, fmt.Errorf("flow: Options.Prelude is required")
+	}
+	if opts.MaxInlineDepth == 0 {
+		opts.MaxInlineDepth = DefaultMaxInlineDepth
+	}
+	if opts.LoopUnroll <= 0 {
+		opts.LoopUnroll = 1
+	}
+	if opts.MaxCmds == 0 {
+		opts.MaxCmds = DefaultMaxCmds
 	}
 
 	b := &ubuilder{
@@ -71,9 +82,10 @@ func BuildUnit(unit *ir.Unit, opts Options) (*ai.Program, error) {
 	return prog, nil
 }
 
-// ubuilder is the IR-consuming twin of builder: a mechanical port of the
-// AST walker onto ir nodes, preserving its emission order, statement-site
-// bookkeeping, branch-ID allocation, and warning text exactly.
+// ubuilder walks an IR unit and emits the AI program. Its emission order,
+// statement-site bookkeeping, branch-ID allocation and warning text are
+// those of the pre-IR AST walker it replaced; testdata/ai.golden locks
+// them.
 type ubuilder struct {
 	opts Options
 	pre  *prelude.Prelude
@@ -401,9 +413,9 @@ func (b *ubuilder) collectVarUsage(u *ir.Unit) {
 	b.extractTargets = append(b.extractTargets, batch...)
 }
 
-// legacyTypeName maps an IR expression to the AST type name the pre-IR
-// engine printed in %T-style warnings, keeping warning text byte-identical
-// across the two paths.
+// legacyTypeName names an IR expression by the AST node type it was
+// lowered from, as the pre-IR engine's %T-style warnings did; the warning
+// text is locked by testdata/ai.golden.
 func legacyTypeName(e ir.Expr) string {
 	switch e := e.(type) {
 	case nil:

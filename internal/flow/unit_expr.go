@@ -432,6 +432,13 @@ func (b *ubuilder) trMethodCall(e *ir.MethodCall) ai.Expr {
 	return b.joinOf(append(args, objExpr))
 }
 
+// methodReceiver is the object a method is called on: its AI expression
+// and, when it is a plain variable, the root that $this writes flow to.
+type methodReceiver struct {
+	expr    ai.Expr
+	rootVar string
+}
+
 // inlineCall unfolds a user-defined function, method, or closure body at
 // the call site, implementing the filter's requirement that F(p) "unfolds
 // function calls". Locals are α-renamed with a per-instance prefix;

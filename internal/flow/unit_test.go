@@ -3,9 +3,9 @@ package flow
 // Behavior tests for the subset widening the IR front end enables:
 // closures/anonymous functions (inlined like named functions when the
 // call target is statically bound) and foreach by reference (weak
-// update of the iterated subject). These constructs only exist on the
-// IR path — the legacy AST builder approximates them to ⊥/⊤ — so there
-// is deliberately no differential counterpart here.
+// update of the iterated subject). TestDynamicSoundness in the root
+// package also runs these sources and checks every concrete leak is
+// reported.
 
 import (
 	"strings"

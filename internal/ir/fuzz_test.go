@@ -1,23 +1,17 @@
-// The fuzz harness lives in an external test package so it can use the
-// legacy flow builder as a differential oracle without an import cycle
-// (flow imports ir).
 package ir_test
 
 import (
 	"testing"
 
-	"webssari/internal/flow"
 	"webssari/internal/ir"
 	"webssari/internal/php/parser"
-	"webssari/internal/prelude"
 )
 
 // FuzzLower drives the lowering on arbitrary bytes. Invariants: no
 // panic; a non-nil unit for every parse result; printing and
-// fingerprinting total; lowering deterministic (two lowerings of one
-// AST fingerprint identically); and on the legacy subset the IR path's
-// abstract interpretation byte-identical to the legacy AST builder's.
-// The seed corpus is FuzzVerify's plus the new-subset constructs.
+// fingerprinting total; and lowering deterministic (two lowerings of one
+// AST fingerprint identically). The seed corpus is FuzzVerify's plus the
+// closure and foreach-by-reference constructs.
 func FuzzLower(f *testing.F) {
 	seeds := []string{
 		`<?php echo $_GET['x'];`,
@@ -39,7 +33,6 @@ func FuzzLower(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	pre := prelude.Default()
 	f.Fuzz(func(t *testing.T, src string) {
 		res := parser.Parse("fuzz.php", []byte(src))
 		unit, err := ir.Lower(res.File)
@@ -61,63 +54,5 @@ func FuzzLower(f *testing.F) {
 				t.Fatalf("nondeterministic fingerprint for %q: %q vs %q", key, fps[key], fp)
 			}
 		}
-
-		if usesNewSubset(unit) {
-			return // the legacy builder approximates these; no oracle
-		}
-		opts := flow.Options{Prelude: pre, MaxCmds: 2000}
-		legacy, lerr := flow.BuildAST(res.File, opts)
-		viaIR, ierr := flow.BuildUnit(unit, opts)
-		if (lerr == nil) != (ierr == nil) {
-			t.Fatalf("error parity: legacy %v, IR %v", lerr, ierr)
-		}
-		if lerr != nil {
-			return
-		}
-		if legacy.String() != viaIR.String() {
-			t.Fatalf("AI differs on legacy subset\n--- legacy ---\n%s\n--- IR ---\n%s",
-				legacy.String(), viaIR.String())
-		}
 	})
-}
-
-// usesNewSubset reports whether the unit uses IR-only constructs
-// (closures, foreach by reference) the legacy AST builder approximates
-// differently.
-func usesNewSubset(u *ir.Unit) bool {
-	for _, fn := range u.Funcs {
-		if fn.Closure {
-			return true
-		}
-	}
-	seen := false
-	var walkBlock func(ir.Block)
-	walkInstr := func(in ir.Instr) {
-		switch in := in.(type) {
-		case *ir.Foreach:
-			if in.ByRef {
-				seen = true
-			}
-			walkBlock(in.Body)
-		case *ir.Branch:
-			walkBlock(in.Then)
-			walkBlock(in.Else)
-		case *ir.Loop:
-			walkBlock(in.Body)
-		case *ir.Switch:
-			for _, c := range in.Cases {
-				walkBlock(c.Body)
-			}
-		}
-	}
-	walkBlock = func(b ir.Block) {
-		for _, in := range b {
-			walkInstr(in)
-		}
-	}
-	walkBlock(u.Main)
-	for _, fn := range u.Funcs {
-		walkBlock(fn.Body)
-	}
-	return seen
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"net/url"
+	"path"
 	"strings"
 
 	"webssari/internal/php/ast"
@@ -20,6 +21,9 @@ func (in *Interp) evalCall(e *ast.Call) (*Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		if fv.Kind == KClosure {
+			return in.callClosure(fv.fn, e.Args, e.Pos())
+		}
 		name = ast.LowerName(fv.String())
 	}
 	if fd, ok := in.funcs[name]; ok {
@@ -28,10 +32,43 @@ func (in *Interp) evalCall(e *ast.Call) (*Value, error) {
 	return in.builtin(name, e.Args, e.Pos())
 }
 
-// callUser invokes a user-defined function with its own scope.
-func (in *Interp) callUser(fd *ast.FunctionDecl, args []ast.Expr, recv *Value, pos token.Pos) (*Value, error) {
+// closure is an anonymous function value: its body as a declaration,
+// its by-value captures as snapshotted at creation, and the defining
+// scope, which by-reference captures read from and write back to.
+type closure struct {
+	decl *ast.FunctionDecl
+	uses []ast.ClosureUse
+	vals map[string]*Value
+	home map[string]*Value
+}
+
+func (in *Interp) callClosure(c *closure, args []ast.Expr, pos token.Pos) (*Value, error) {
+	scope := make(map[string]*Value, len(c.uses))
+	for _, u := range c.uses {
+		v := c.vals[u.Name]
+		if cur, ok := c.home[u.Name]; ok && u.ByRef {
+			v = cur
+		}
+		scope[u.Name] = v.Copy()
+	}
+	ret, err := in.callUser(c.decl, args, scope, pos)
+	if err != nil {
+		return nil, err
+	}
+	for _, u := range c.uses {
+		if v, ok := scope[u.Name]; ok && u.ByRef {
+			c.home[u.Name] = v
+		}
+	}
+	return ret, nil
+}
+
+// callUser invokes a user-defined function in scope: a fresh variable
+// scope, possibly pre-bound ($this, closure captures), that holds the
+// function's locals when it returns.
+func (in *Interp) callUser(fd *ast.FunctionDecl, args []ast.Expr, scope map[string]*Value, pos token.Pos) (*Value, error) {
 	if in.depth >= maxCallDepth {
-		return nil, fmt.Errorf("runtime: call depth exceeded at %s", pos)
+		return nil, fmt.Errorf("%w at %s", ErrCallDepth, pos)
 	}
 	// Evaluate arguments in the caller's scope.
 	vals := make([]*Value, len(fd.Params))
@@ -63,14 +100,14 @@ func (in *Interp) callUser(fd *ast.FunctionDecl, args []ast.Expr, recv *Value, p
 	}
 
 	savedScope, savedGlobals := in.scope, in.globals
-	in.scope = make(map[string]*Value, len(fd.Params)+2)
+	if scope == nil {
+		scope = make(map[string]*Value, len(fd.Params))
+	}
+	in.scope = scope
 	in.globals = make(map[string]bool)
 	in.depth++
 	for i, p := range fd.Params {
 		in.scope[p.Name] = vals[i]
-	}
-	if recv != nil {
-		in.scope["this"] = recv
 	}
 	ctl, err := in.stmts(fd.Body)
 	localScope := in.scope
@@ -119,6 +156,22 @@ func (in *Interp) builtin(name string, argASTs []ast.Expr, pos token.Pos) (*Valu
 		// The default runtime guard inserted by the instrumentor: escapes
 		// and untaints, recursing into arrays.
 		return websafe(arg(0)), nil
+	case "websafe_html", "websafe_attr", "websafe_js", "json_encode":
+		// The xss-context policy's per-context guards and JSON encoding.
+		// Taint is one bit here, so each clears it; which output context
+		// each is adequate for is the static analysis' business.
+		return Clean(htmlEscape(arg(0).String())), nil
+	case "websafe_url":
+		// The ssrf policy's allowlist guard: only allowlisted hosts pass,
+		// rebuilt from constants; anything else becomes an empty URL.
+		if u, err := url.Parse(arg(0).String()); err == nil && allowedHosts[u.Hostname()] {
+			return Clean("https://" + u.Hostname() + "/"), nil
+		}
+		return Clean(""), nil
+	case "basename":
+		// A bare file name cannot name a remote host: the ssrf policy
+		// declares basename a sanitizer, and so does the interpreter.
+		return Clean(path.Base(arg(0).String())), nil
 	case "addslashes", "mysql_escape_string", "mysql_real_escape_string",
 		"pg_escape_string", "sqlite_escape_string":
 		return Clean(addSlashes(arg(0).String())), nil
@@ -141,13 +194,13 @@ func (in *Interp) builtin(name string, argASTs []ast.Expr, pos token.Pos) (*Valu
 
 	// ------------------------------------------------- sinks (record events)
 	case "print":
-		in.emit("echo", arg(0), pos)
+		in.emit("echo", name, arg(0), pos)
 		return Num(1), nil
 	case "printf":
-		in.emit("echo", joinArgs(args), pos)
+		in.emit("echo", name, joinArgs(args), pos)
 		return Null(), nil
 	case "print_r":
-		in.emit("echo", arg(0), pos)
+		in.emit("echo", name, arg(0), pos)
 		return BoolVal(true), nil
 	case "mysql_query", "mysql_db_query", "mysql_unbuffered_query",
 		"pg_query", "pg_exec", "sqlite_query", "dosql":
@@ -155,19 +208,28 @@ func (in *Interp) builtin(name string, argASTs []ast.Expr, pos token.Pos) (*Valu
 		if name == "mysql_db_query" {
 			q = arg(1)
 		}
-		in.emit("sql", q, pos)
+		in.emit("sql", name, q, pos)
 		in.DB.Queries = append(in.DB.Queries, q.String())
 		res := &Value{Kind: KResource, Res: &Result{Rows: in.DB.Rows}}
 		return res, nil
 	case "exec", "system", "passthru", "shell_exec", "popen":
-		in.emit("exec", arg(0), pos)
+		in.emit("exec", name, arg(0), pos)
 		return Clean(""), nil
 	case "eval":
-		in.emit("eval", arg(0), pos)
+		in.emit("eval", name, arg(0), pos)
 		return Null(), nil
 	case "header", "mail":
-		in.emit(name, joinArgs(args), pos)
+		in.emit(name, name, joinArgs(args), pos)
 		return Null(), nil
+	case "curl_init", "curl_setopt", "fopen", "readfile", "get_headers", "fsockopen":
+		// Outbound requests: the URL (or host) is the first argument, the
+		// option value for curl_setopt. The handle returned is inert.
+		target := arg(0)
+		if name == "curl_setopt" {
+			target = arg(2)
+		}
+		in.emit("request", name, target, pos)
+		return &Value{Kind: KResource, Res: &Result{}}, nil
 
 	// ------------------------------------------------ sources / database reads
 	case "mysql_fetch_array", "mysql_fetch_assoc", "mysql_fetch_row",
@@ -192,6 +254,9 @@ func (in *Interp) builtin(name string, argASTs []ast.Expr, pos token.Pos) (*Valu
 	case "getenv":
 		return Tainted("ENV:" + arg(0).String()), nil
 	case "file_get_contents", "fgets", "fread", "file":
+		if name == "file_get_contents" {
+			in.emit("request", name, arg(0), pos)
+		}
 		return Tainted("FILE:" + arg(0).String()), nil
 
 	// ------------------------------------------------------------- utilities
@@ -298,6 +363,9 @@ func (in *Interp) builtin(name string, argASTs []ast.Expr, pos token.Pos) (*Valu
 		return &Value{Kind: KString, Str: "", Taint: taint}, nil
 	}
 }
+
+// allowedHosts is websafe_url's host allowlist.
+var allowedHosts = map[string]bool{"example.com": true}
 
 func isKnownBuiltin(name string) bool {
 	switch name {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"path"
 	"strings"
 
 	"webssari/internal/php/ast"
@@ -140,7 +141,7 @@ func (in *Interp) eval(e ast.Expr) (*Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			return in.callUser(fd, e.Args, recv, e.Pos())
+			return in.callUser(fd, e.Args, map[string]*Value{"this": recv}, e.Pos())
 		}
 		return in.builtin(ast.LowerName(e.Name), e.Args, e.Pos())
 
@@ -184,6 +185,18 @@ func (in *Interp) eval(e ast.Expr) (*Value, error) {
 	case *ast.ListExpr:
 		return Null(), nil
 
+	case *ast.Closure:
+		c := &closure{
+			decl: &ast.FunctionDecl{Span: e.Span, Name: "{closure}", Params: e.Params, Body: e.Body},
+			uses: e.Uses,
+			vals: make(map[string]*Value),
+			home: in.scope,
+		}
+		for _, u := range e.Uses {
+			c.vals[u.Name] = in.readVar(u.Name).Copy()
+		}
+		return &Value{Kind: KClosure, fn: c}, nil
+
 	case *ast.ExitExpr:
 		if e.Arg != nil {
 			v, err := in.eval(e.Arg)
@@ -191,7 +204,7 @@ func (in *Interp) eval(e ast.Expr) (*Value, error) {
 				return nil, err
 			}
 			if v.Kind == KString {
-				in.emit("echo", v, e.Pos())
+				in.emit("echo", "exit", v, e.Pos())
 			}
 		}
 		panic(haltSignal{})
@@ -612,26 +625,41 @@ func (in *Interp) lvalueBase(e ast.Expr) (*Value, error) {
 	}
 }
 
+// evalInclude runs an included file. A relative path is tried against
+// the including file's directory first, then as given — the order the
+// verifier's include resolution uses, so both name the file alike.
 func (in *Interp) evalInclude(e *ast.IncludeExpr) (*Value, error) {
 	pathV, err := in.eval(e.Path)
 	if err != nil {
 		return nil, err
 	}
-	in.emit("include", pathV, e.Pos())
+	in.emit("include", e.Kind.String(), pathV, e.Pos())
 	if in.Loader == nil {
 		return BoolVal(false), nil
 	}
-	src, err := in.Loader(pathV.String())
-	if err != nil {
-		return BoolVal(false), nil
+	lit := pathV.String()
+	candidates := []string{lit}
+	if dir := path.Dir(in.file); !path.IsAbs(lit) && dir != "." {
+		candidates = []string{path.Join(dir, lit), lit}
 	}
-	res := parser.Parse(pathV.String(), src)
-	if len(res.Errs) > 0 {
-		return nil, fmt.Errorf("runtime: include %s: %w", pathV, res.Errs[0])
+	for _, cand := range candidates {
+		src, err := in.Loader(cand)
+		if err != nil {
+			continue
+		}
+		res := parser.Parse(cand, src)
+		if len(res.Errs) > 0 {
+			return nil, fmt.Errorf("runtime: include %s: %w", cand, res.Errs[0])
+		}
+		if in.depth >= maxCallDepth {
+			return nil, fmt.Errorf("%w including %s at %s", ErrCallDepth, cand, e.Pos())
+		}
+		in.collectFuncs(res.File.Stmts)
+		saved := in.file
+		in.file, in.depth = cand, in.depth+1
+		_, err = in.stmts(res.File.Stmts)
+		in.file, in.depth = saved, in.depth-1
+		return BoolVal(err == nil), err
 	}
-	in.collectFuncs(res.File.Stmts)
-	if _, err := in.stmts(res.File.Stmts); err != nil {
-		return nil, err
-	}
-	return BoolVal(true), nil
+	return BoolVal(false), nil
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -48,6 +49,7 @@ type Interp struct {
 	Loader func(path string) ([]byte, error)
 
 	funcs   map[string]*ast.FunctionDecl
+	file    string // file being executed (events record it)
 	steps   int
 	scope   map[string]*Value // current variable scope
 	globals map[string]bool   // names imported via 'global'
@@ -135,6 +137,7 @@ func (in *Interp) Run(file *ast.File) (err error) {
 			panic(r)
 		}
 	}()
+	in.file = file.Name
 	in.collectFuncs(file.Stmts)
 	_, err = in.stmts(file.Stmts)
 	return err
@@ -173,16 +176,26 @@ func (in *Interp) tick(pos token.Pos) error {
 		limit = DefaultMaxSteps
 	}
 	if in.steps > limit {
-		return fmt.Errorf("runtime: step budget exhausted at %s", pos)
+		return fmt.Errorf("%w at %s", ErrStepBudget, pos)
 	}
 	return nil
 }
 
-func (in *Interp) emit(sink string, v *Value, pos token.Pos) {
+// Errors that end a run early without meaning the program is outside
+// the supported subset: events recorded before them are still valid.
+var (
+	ErrStepBudget = errors.New("runtime: step budget exhausted")
+	ErrCallDepth  = errors.New("runtime: call depth exceeded")
+)
+
+// emit records a sink event: channel sink reached by construct fn.
+func (in *Interp) emit(sink, fn string, v *Value, pos token.Pos) {
 	in.Events = append(in.Events, Event{
 		Sink:    sink,
+		Func:    fn,
 		Text:    v.String(),
 		Tainted: v.AnyTaint(),
+		File:    in.file,
 		Line:    pos.Line,
 	})
 }
@@ -213,12 +226,12 @@ func (in *Interp) stmt(s ast.Stmt) (control, error) {
 			if err != nil {
 				return control{}, err
 			}
-			in.emit("echo", v, s.Pos())
+			in.emit("echo", "echo", v, s.Pos())
 		}
 		return control{}, nil
 
 	case *ast.InlineHTMLStmt:
-		in.emit("echo", Clean(s.Text), s.Pos())
+		in.emit("echo", "echo", Clean(s.Text), s.Pos())
 		return control{}, nil
 
 	case *ast.IfStmt:
@@ -343,6 +356,14 @@ func (in *Interp) stmt(s ast.Stmt) (control, error) {
 			ctl, err := in.stmts(s.Body)
 			if err != nil {
 				return control{}, err
+			}
+			if s.ByRef {
+				// foreach by reference: body writes land in the subject.
+				cur, err := in.eval(s.ValVar)
+				if err != nil {
+					return control{}, err
+				}
+				subj.Set(key, cur)
 			}
 			if done, out := loopControl(ctl); done {
 				return out, nil

@@ -29,6 +29,7 @@ const (
 	KString
 	KArray
 	KResource // fake database result handles
+	KClosure  // anonymous function values
 )
 
 // Value is a PHP runtime value with a taint bit. Arrays hold pointers so
@@ -43,6 +44,8 @@ type Value struct {
 	Elems map[string]*Value
 	Res   *Result // resource payload
 	Taint bool
+
+	fn *closure // closure payload
 }
 
 // Result is a fake database result handle: a queue of rows.
@@ -160,6 +163,8 @@ func (v *Value) String() string {
 		return "Array"
 	case KResource:
 		return "Resource"
+	case KClosure:
+		return "Closure"
 	default:
 		return ""
 	}
@@ -204,29 +209,28 @@ func (v *Value) Truthy() bool {
 		return v.Str != "" && v.Str != "0"
 	case KArray:
 		return len(v.Elems) > 0
-	case KResource:
+	case KResource, KClosure:
 		return true
 	default:
 		return false
 	}
 }
 
-// withTaint returns a copy of the value with taint forced to t.
-func (v *Value) withTaint(t bool) *Value {
-	cp := *v
-	cp.Taint = t
-	return &cp
-}
-
 // Event is one sink invocation observed during execution.
 type Event struct {
-	// Sink is the channel name (echo, mysql_query, exec, include, …).
+	// Sink is the channel name (echo, sql, exec, eval, include, request, …).
 	Sink string
+	// Func is the construct that reached it (echo, print, mysql_query,
+	// curl_init, …): the name preludes and policies declare sinks by.
+	Func string
 	// Text is the string the sink received.
 	Text string
 	// Tainted reports whether unsanitized untrusted data reached the sink
 	// — the security failure the runtime guards exist to prevent.
 	Tainted bool
+	// File is the file executing the call: the entry file or, inside an
+	// include, the included file's resolved path.
+	File string
 	// Line is the source line of the call.
 	Line int
 }

@@ -118,8 +118,12 @@ func WithFileObserver(fn func(*Report)) Option {
 
 // resultSchema versions the envelope layout inside store blobs,
 // independent of the store's own framing version. Bump it when the
-// Report JSON shape changes incompatibly.
-const resultSchema = 1
+// Report JSON shape changes incompatibly, or when the same source and
+// configuration now yield a different Report: storeDecode rejects
+// foreign-schema envelopes on both the revalidating and the trusted
+// incremental path, so old results miss rather than being served.
+// Schema 2: counterexamples no patch point covers became Findings.
+const resultSchema = 2
 
 // storedEnvelope is the persisted form of one verification result: the
 // report plus what is needed to revalidate and re-render it.

@@ -47,6 +47,7 @@ import (
 	"webssari/internal/flow"
 	"webssari/internal/ir"
 	"webssari/internal/lattice"
+	"webssari/internal/php/token"
 	"webssari/internal/policy"
 	"webssari/internal/prelude"
 	"webssari/internal/report"
@@ -66,6 +67,8 @@ type Location struct {
 
 // String renders the location as file:line:col.
 func (l Location) String() string { return fmt.Sprintf("%s:%d:%d", l.File, l.Line, l.Col) }
+
+func locationOf(p token.Pos) Location { return Location{File: p.File, Line: p.Line, Col: p.Col} }
 
 // TraceStep is one single assignment on an error trace.
 type TraceStep struct {
@@ -87,7 +90,9 @@ type Finding struct {
 	Location Location `json:"location"`
 	// Trace is the tainted single-assignment sequence leading to the sink.
 	Trace []TraceStep `json:"trace"`
-	// Group indexes the Patches entry whose guard repairs this finding.
+	// Group indexes the Patches entry whose guard repairs this finding,
+	// or is -1 when no patch point can (a sink reached through a
+	// variable variable, say).
 	Group int `json:"group"`
 }
 
@@ -991,6 +996,7 @@ func buildReport(res *core.Result, analysis *fixing.Analysis) *Report {
 	default:
 		out.Verdict = VerdictSafe
 	}
+	grouped := make(map[*core.Counterexample]bool)
 	for gi, g := range rep.Groups {
 		pos, _ := g.Fix.Span()
 		varName := ""
@@ -998,41 +1004,21 @@ func buildReport(res *core.Result, analysis *fixing.Analysis) *Report {
 			varName = g.Fix.Set.Origin.SrcVar
 		}
 		out.Patches = append(out.Patches, PatchPoint{
-			Location:    Location{File: pos.File, Line: pos.Line, Col: pos.Col},
+			Location:    locationOf(pos),
 			Var:         varName,
 			Description: g.Fix.Describe(),
 			Findings:    len(g.Cexs),
 		})
 		for _, cex := range g.Cexs {
-			f := Finding{
-				Sink:  cex.Assert.Origin.Fn,
-				Class: findingClass(cex.Assert.Origin),
-				Location: Location{
-					File: cex.Assert.Origin.Site.Pos.File,
-					Line: cex.Assert.Origin.Site.Pos.Line,
-					Col:  cex.Assert.Origin.Site.Pos.Col,
-				},
-				Group: gi,
-			}
-			for _, step := range cex.Steps {
-				if res.AI.Lat.Lt(step.Value, cex.Assert.Bound) {
-					continue
-				}
-				name := step.Set.Origin.SrcVar
-				if name == "" {
-					name = step.Set.V.Name
-				}
-				f.Trace = append(f.Trace, TraceStep{
-					Location: Location{
-						File: step.Set.Origin.Site.Pos.File,
-						Line: step.Set.Origin.Site.Pos.Line,
-						Col:  step.Set.Origin.Site.Pos.Col,
-					},
-					Var:   name,
-					Value: res.AI.Lat.Name(step.Value),
-				})
-			}
-			out.Findings = append(out.Findings, f)
+			out.Findings = append(out.Findings, newFinding(res, cex, gi))
+			grouped[cex] = true
+		}
+	}
+	// Counterexamples no patch point can repair (a sink reached through
+	// a variable variable, say) are findings all the same.
+	for _, cex := range res.Counterexamples() {
+		if !grouped[cex] {
+			out.Findings = append(out.Findings, newFinding(res, cex, -1))
 		}
 	}
 	sort.SliceStable(out.Findings, func(i, j int) bool {
@@ -1042,6 +1028,32 @@ func buildReport(res *core.Result, analysis *fixing.Analysis) *Report {
 		return out.Findings[i].Location.Col < out.Findings[j].Location.Col
 	})
 	return out
+}
+
+// newFinding renders one counterexample; group indexes its patch point
+// (-1 for none).
+func newFinding(res *core.Result, cex *core.Counterexample, group int) Finding {
+	f := Finding{
+		Sink:     cex.Assert.Origin.Fn,
+		Class:    findingClass(cex.Assert.Origin),
+		Location: locationOf(cex.Assert.Origin.Site.Pos),
+		Group:    group,
+	}
+	for _, step := range cex.Steps {
+		if res.AI.Lat.Lt(step.Value, cex.Assert.Bound) {
+			continue
+		}
+		name := step.Set.Origin.SrcVar
+		if name == "" {
+			name = step.Set.V.Name
+		}
+		f.Trace = append(f.Trace, TraceStep{
+			Location: locationOf(step.Set.Origin.Site.Pos),
+			Var:      name,
+			Value:    res.AI.Lat.Name(step.Value),
+		})
+	}
+	return f
 }
 
 // ClassOf names the vulnerability class a sink belongs to (e.g. "SQL
