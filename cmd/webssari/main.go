@@ -29,6 +29,9 @@
 //	                  effort, cache and pool stats) to stderr
 //	-trace FILE       write Chrome trace-event JSON of every pipeline span
 //	                  (written even when the run exits early on an error)
+//	-cpuprofile FILE  write a Go CPU profile (runtime/pprof; also written
+//	                  on an early error exit)
+//	-memprofile FILE  write a Go allocation profile on exit (likewise)
 //	-metrics-addr A   serve Prometheus /metrics (plus /debug/vars,
 //	                  /debug/pprof/, and the /debug/events flight
 //	                  recorder) on A for the run; ":0" picks a port
@@ -120,6 +123,8 @@ func run(args []string) int {
 		jobs     = fs.Int("j", 0, "verification worker count (0 = GOMAXPROCS)")
 		verbose  = fs.Bool("v", false, "print the run profile to stderr")
 		traceF   = fs.String("trace", "", "write Chrome trace-event JSON to this file")
+		cpuProf  = fs.String("cpuprofile", "", "write a Go CPU profile (runtime/pprof) to this file")
+		memProf  = fs.String("memprofile", "", "write a Go allocation profile (runtime/pprof) to this file on exit")
 		metrics  = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address (\":0\" picks a free port)")
 		logLevel = fs.String("log-level", "info", "structured log level: debug|info|warn|error")
 		logFmt   = fs.String("log-format", "text", "structured log encoding: text|json")
@@ -218,6 +223,18 @@ func run(args []string) int {
 				}
 			}
 			if err != nil {
+				fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
+			}
+		}()
+	}
+	if *cpuProf != "" || *memProf != "" {
+		stop, err := telemetry.StartProfiles(*cpuProf, *memProf)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
+			return 2
+		}
+		defer func() {
+			if err := stop(); err != nil {
 				fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
 			}
 		}()

@@ -28,7 +28,9 @@
 //
 // Observability: -trace FILE writes a Chrome trace-event JSON of every
 // pipeline span (load it in chrome://tracing or Perfetto) — the file is
-// written even when the run exits early on an error; -metrics-addr ADDR
+// written even when the run exits early on an error, as are the Go
+// runtime/pprof profiles -cpuprofile FILE and -memprofile FILE write
+// (read them with `go tool pprof`); -metrics-addr ADDR
 // serves a Prometheus /metrics page plus /debug/vars, /debug/pprof/,
 // and the /debug/events flight recorder for the duration of the run
 // (":0" picks a free port; the chosen address is printed to stderr);
@@ -98,6 +100,8 @@ func run(args []string) int {
 		jobs        = fs.Int("j", 0, "assertion-level worker count (0 = sequential)")
 		verbose     = fs.Bool("v", false, "print the run profile to stderr")
 		traceFile   = fs.String("trace", "", "write Chrome trace-event JSON to this file")
+		cpuProfile  = fs.String("cpuprofile", "", "write a Go CPU profile (runtime/pprof) to this file")
+		memProfile  = fs.String("memprofile", "", "write a Go allocation profile (runtime/pprof) to this file on exit")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address (\":0\" picks a free port)")
 		logLevel    = fs.String("log-level", "info", "structured log level: debug|info|warn|error")
 		logFormat   = fs.String("log-format", "text", "structured log encoding: text|json")
@@ -187,6 +191,18 @@ func run(args []string) int {
 		// trace file of whatever spans were recorded.
 		defer func() {
 			if err := writeTraceFile(*traceFile, tel); err != nil {
+				fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
+			}
+		}()
+	}
+	if *cpuProfile != "" || *memProfile != "" {
+		stop, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
+			return 2
+		}
+		defer func() {
+			if err := stop(); err != nil {
 				fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
 			}
 		}()

@@ -262,3 +262,27 @@ func TestVersionFlag(t *testing.T) {
 		t.Fatalf("-version banner: %q", out)
 	}
 }
+
+// TestProfileFlags checks that -cpuprofile and -memprofile write
+// non-empty pprof files, on a normal run and on an early error exit.
+func TestProfileFlags(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		target string
+		want   int
+	}{
+		{"vulnerable file", writePHP(t, vulnSrc), 1},
+		{"missing file", filepath.Join(t.TempDir(), "missing.php"), 2},
+	} {
+		dir := t.TempDir()
+		cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+		if code := run([]string{"-cpuprofile", cpu, "-memprofile", mem, c.target}); code != c.want {
+			t.Fatalf("%s: exit = %d, want %d", c.name, code, c.want)
+		}
+		for _, path := range []string{cpu, mem} {
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("%s: %s not written (err %v)", c.name, filepath.Base(path), err)
+			}
+		}
+	}
+}

@@ -26,10 +26,11 @@ var fuzzVerifySeeds = []string{
 // resource limits. The invariants: no panic ever escapes (faults come
 // back as *EngineError values); any report produced is internally
 // consistent — Safe and Incomplete are mutually exclusive, and the
-// verdict matches the flags; and a complete report is sound: when the
-// input parses and runs within the interpreter's step budget, no
-// attacker-seeded run leaks taint at a sink the report does not list
-// (see TestDynamicSoundness).
+// verdict matches the flags; a complete report is byte-identical to the
+// shared-mode report whenever that run completes too; and a complete
+// report is sound: when the input parses and runs within the
+// interpreter's step budget, no attacker-seeded run leaks taint at a
+// sink the report does not list (see TestDynamicSoundness).
 func FuzzVerify(f *testing.F) {
 	for _, seed := range fuzzVerifySeeds {
 		f.Add([]byte(seed))
@@ -79,6 +80,20 @@ func FuzzVerify(f *testing.F) {
 		if rep.Incomplete {
 			return
 		}
+		// The sliced per-assert encoding must agree with the unsliced
+		// whole-program one. Shared mode's ceilings and budgets cap the
+		// whole program, so an incomplete shared run proves nothing.
+		shared, err := webssari.Verify(src, "fuzz.php", limits,
+			webssari.WithDeadline(2*time.Second),
+			webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverShared, MaxConflicts: 200}), webssari.WithMaxCounterexamples(16))
+		if err == nil && !shared.Incomplete {
+			refJSON, refText := stripped(t, rep)
+			gotJSON, gotText := stripped(t, shared)
+			if gotJSON != refJSON || gotText != refText {
+				t.Fatalf("shared report diverges from per-assert:\n got %s\nwant %s\n%q", gotJSON, refJSON, src)
+			}
+		}
+
 		c := soundCase{name: "fuzz.php", src: src}
 		for _, seed := range soundnessSeeds {
 			events, err := runAttacked(c, seed)

@@ -14,10 +14,16 @@
 // Guards (boolean formulas over the nondeterministic branch variables BN)
 // are Tseitin-transformed. Constants are folded everywhere, so variables
 // with statically known types cost nothing.
+//
+// EncodeCheck builds B_i from the check's cone of influence
+// (constraint.System.Cone), not its whole prefix: the formula slicing of
+// CBMC. Every branch variable of the prefix is still allocated, so the
+// sliced formula has the same models projected onto BN as the full one.
 package cnf
 
 import (
 	"fmt"
+	"slices"
 
 	"webssari/internal/constraint"
 	"webssari/internal/lattice"
@@ -35,6 +41,10 @@ type Options struct {
 	// is hit, EncodeCheck stops and returns a *LimitError so the caller
 	// can degrade the assertion to an Unknown verdict instead of
 	// exhausting memory on a pathological input. Zero disables the cap.
+	// EncodeCheck applies them to the sliced formula — the prefix's
+	// branch variables plus the check's cone — so prefix code the check
+	// does not depend on never trips them; EncodeAllChecks applies them
+	// to the whole program.
 	MaxVars    int
 	MaxClauses int
 }
@@ -68,8 +78,6 @@ type Encoded struct {
 	// the assertion fails on every prefix path consistent with the
 	// encoding; TrivialUnsat means it can never fail.
 	Trivial TrivialKind
-
-	enc *encoder
 }
 
 // TrivialKind classifies formulas decided during encoding.
@@ -101,12 +109,24 @@ var (
 	gFalse = glit{isConst: true, b: false}
 )
 
+// encoded reports whether v holds a value (the zero vec is unset: a
+// non-constant vec always has one-hot variables).
+func (v vec) encoded() bool { return v.isConst || v.vars != nil }
+
 type encoder struct {
 	sys  *constraint.System
 	lat  *lattice.Lattice
 	f    *sat.CNF
 	opts Options
-	vals map[rename.SSAVar]vec
+	// cone lists the encoded equations in ascending index order, and
+	// vals[k] holds the value of cone[k]'s variable. A nil cone encodes
+	// every equation, with vals indexed by equation.
+	cone []int32
+	vals []vec
+	// deps is the unread tail of the dependency edges of the equation or
+	// check being encoded (constraint.System.EquationDeps/CheckDeps):
+	// encodeExpr takes one per Ref, depth first and left to right.
+	deps []int32
 	// branch maps branch IDs to SAT vars (allocated on first use).
 	branch map[int]int
 	// guardCache memoizes Tseitin variables per guard structure.
@@ -122,30 +142,32 @@ func EncodeCheck(sys *constraint.System, checkIdx int, opts Options) (*Encoded, 
 	if checkIdx < 0 || checkIdx >= len(sys.Checks) {
 		return nil, fmt.Errorf("cnf: check index %d out of range [0,%d)", checkIdx, len(sys.Checks))
 	}
+	cone := sys.Cone(checkIdx, opts.AssumePriorAsserts)
 	e := &encoder{
 		sys:        sys,
 		lat:        sys.Renamed.AI.Lat,
 		f:          &sat.CNF{},
 		opts:       opts,
-		vals:       make(map[rename.SSAVar]vec),
+		cone:       cone,
+		vals:       make([]vec, len(cone)),
 		branch:     make(map[int]int),
 		guardCache: make(map[string]glit),
 	}
 	target := sys.Checks[checkIdx]
 
 	// Allocate a BN variable for every branch in the prefix, including
-	// branches that guard nothing: their decisions still distinguish
-	// counterexample traces, so the blocking clauses must range over them.
-	for _, id := range sys.PrefixBranches(target) {
-		e.branchVar(id)
+	// branches that guard nothing or only equations outside the cone:
+	// their decisions still distinguish counterexample traces, so the
+	// blocking clauses must range over them.
+	for _, m := range sys.PrefixBranches(target) {
+		e.branchVar(m.ID)
 	}
 
-	// Encode every equation in the target's prefix, in order, bailing out
-	// as soon as a resource ceiling trips: each equation adds a bounded
-	// number of clauses, so checking between equations keeps overshoot
-	// small.
-	for i := 0; i < target.Prefix; i++ {
-		e.encodeEquation(sys.Equations[i])
+	// Encode the cone's equations in order, bailing out as soon as a
+	// resource ceiling trips: each equation adds a bounded number of
+	// clauses, so checking between equations keeps overshoot small.
+	for k, i := range cone {
+		e.encodeEquation(k, int(i))
 		if e.limit != nil {
 			return nil, e.limit
 		}
@@ -153,12 +175,14 @@ func EncodeCheck(sys *constraint.System, checkIdx int, opts Options) (*Encoded, 
 
 	// Prior assertions hold (the paper's incremental restriction).
 	if opts.AssumePriorAsserts {
-		for _, ch := range sys.Checks[:checkIdx] {
+		for j, ch := range sys.Checks[:checkIdx] {
+			e.deps = sys.CheckDeps(j)
 			e.assumeCheckHolds(ch)
 		}
 	}
 
 	// Target assertion fails: guard holds ∧ some argument at or above τr.
+	e.deps = sys.CheckDeps(checkIdx)
 	e.negateCheck(target)
 	if e.limit != nil {
 		return nil, e.limit
@@ -168,7 +192,6 @@ func EncodeCheck(sys *constraint.System, checkIdx int, opts Options) (*Encoded, 
 		F:          e.f,
 		CheckID:    target.ID,
 		BranchVars: e.branch,
-		enc:        e,
 	}
 	if e.unsat {
 		out.Trivial = TrivialUnsat
@@ -302,23 +325,44 @@ func (e *encoder) encodeJunction(parts []constraint.Bool, isAnd bool, key string
 	return res
 }
 
-// valueOf resolves an SSA variable to its encoded value. Index 0 is the
-// variable's initial type (a constant).
-func (e *encoder) valueOf(v rename.SSAVar) vec {
-	if val, ok := e.vals[v]; ok {
-		return val
-	}
+// valueOf resolves a read of v, whose defining equation is def (-1 for
+// none), to its encoded value. Index 0 is the variable's initial type (a
+// constant). Any other index must resolve to an equation already
+// encoded: reading it as the initial type instead could pass tainted
+// data off as safe, so a missing definition — a dependency edge the cone
+// lacks, or a read the renamer should never produce — panics, and the
+// caller degrades the assertion.
+func (e *encoder) valueOf(v rename.SSAVar, def int32) vec {
 	if v.Idx == 0 {
-		val := vec{isConst: true, c: e.sys.Renamed.AI.InitialType(v.Name)}
-		e.vals[v] = val
-		return val
+		return vec{isConst: true, c: e.sys.Renamed.AI.InitialType(v.Name)}
 	}
-	// An SSA variable defined after the target's prefix (or skipped): its
-	// defining equation was not encoded. This can only be reached through
-	// stale reads, which the renamer does not produce; treat as initial.
-	val := vec{isConst: true, c: e.sys.Renamed.AI.InitialType(v.Name)}
-	e.vals[v] = val
-	return val
+	if def >= 0 {
+		if k := e.slot(def); k >= 0 && e.vals[k].encoded() {
+			return e.vals[k]
+		}
+	}
+	panic(fmt.Sprintf("cnf: %s has no encoded definition", v))
+}
+
+// slot returns the position of equation i in vals, or -1 when i is not
+// encoded.
+func (e *encoder) slot(i int32) int {
+	if e.cone == nil {
+		return int(i)
+	}
+	k, ok := slices.BinarySearch(e.cone, i)
+	if !ok {
+		return -1
+	}
+	return k
+}
+
+// nextDep takes the next dependency edge of the expression being
+// encoded.
+func (e *encoder) nextDep() int32 {
+	d := e.deps[0]
+	e.deps = e.deps[1:]
+	return d
 }
 
 // encodeExpr encodes a renamed type expression to a vec.
@@ -327,7 +371,7 @@ func (e *encoder) encodeExpr(x rename.Expr) vec {
 	case rename.Const:
 		return vec{isConst: true, c: x.Type}
 	case rename.Ref:
-		return e.valueOf(x.V)
+		return e.valueOf(x.V, e.nextDep())
 	case rename.Join:
 		if len(x.Parts) == 0 {
 			return vec{isConst: true, c: e.lat.Bottom()}
@@ -380,22 +424,26 @@ func (e *encoder) encodeJoin(a, b vec) vec {
 	return vec{vars: z}
 }
 
-// encodeEquation encodes t(V) = g ? RHS : t(Prev).
-func (e *encoder) encodeEquation(eq constraint.Equation) {
+// encodeEquation encodes equation i, t(V) = g ? RHS : t(Prev), into
+// vals[k].
+func (e *encoder) encodeEquation(k, i int) {
+	eq := e.sys.Equations[i]
+	e.deps = e.sys.EquationDeps(i)
+	prevDef := e.nextDep()
 	g := e.encodeGuard(eq.Guard)
 	rhs := e.encodeExpr(eq.RHS)
-	prev := e.valueOf(eq.Prev)
+	prev := e.valueOf(eq.Prev, prevDef)
 
 	if g.isConst {
 		if g.b {
-			e.vals[eq.V] = rhs
+			e.vals[k] = rhs
 		} else {
-			e.vals[eq.V] = prev
+			e.vals[k] = prev
 		}
 		return
 	}
 	if rhs.isConst && prev.isConst && rhs.c == prev.c {
-		e.vals[eq.V] = rhs
+		e.vals[k] = rhs
 		return
 	}
 
@@ -414,7 +462,7 @@ func (e *encoder) encodeEquation(eq constraint.Equation) {
 			e.addClause(g.lit, sat.Lit(-av), sat.Lit(x[a]))
 		}
 	}
-	e.vals[eq.V] = vec{vars: x}
+	e.vals[k] = vec{vars: x}
 }
 
 // badElems returns the lattice elements violating t < bound.

@@ -365,3 +365,107 @@ echo $x;`, nil)
 		t.Fatalf("restricted blocking = %d lits, want 1", len(restricted))
 	}
 }
+
+// unrelatedTaintSrc puts n guarded tainted assignments, none of them
+// read by the sink, ahead of a constant-safe echo.
+func unrelatedTaintSrc(n int) string {
+	var b strings.Builder
+	b.WriteString("<?php\nif ($c) {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "$v%d = $_GET['a'];\n", i)
+	}
+	b.WriteString("}\necho 'hello';\n")
+	return b.String()
+}
+
+// TestConeBoundsEncoding pins the cone-of-influence encoding with
+// deterministic counters: code the check does not depend on adds no
+// variables or clauses, however long the prefix. The whole-program
+// encoding of the same input does grow, so the input is not one that
+// constant folding alone makes free.
+func TestConeBoundsEncoding(t *testing.T) {
+	type size struct{ vars, clauses, branches int }
+	var sliced, whole []size
+	for _, n := range []int{10, 1000} {
+		sys := buildSys(t, unrelatedTaintSrc(n), nil)
+		if len(sys.Equations) != n || len(sys.Checks) != 1 {
+			t.Fatalf("n=%d: %d equations, %d checks", n, len(sys.Equations), len(sys.Checks))
+		}
+		enc, err := EncodeCheck(sys, 0, Options{})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if enc.Trivial != TrivialUnsat {
+			t.Fatalf("n=%d: constant-safe sink is not TrivialUnsat", n)
+		}
+		sliced = append(sliced, size{enc.F.NumVars, len(enc.F.Clauses), len(enc.BranchVars)})
+		all, err := EncodeAllChecks(sys, Options{})
+		if err != nil {
+			t.Fatalf("n=%d shared: %v", n, err)
+		}
+		whole = append(whole, size{all.F.NumVars, len(all.F.Clauses), len(all.BranchVars)})
+	}
+	if sliced[0] != sliced[1] {
+		t.Errorf("sliced encoding grows with unrelated code: n=10 %+v, n=1000 %+v", sliced[0], sliced[1])
+	}
+	if sliced[1].branches != 1 {
+		t.Errorf("prefix branch variables = %d, want 1", sliced[1].branches)
+	}
+	if whole[1].vars <= whole[0].vars || whole[1].clauses <= whole[0].clauses {
+		t.Errorf("whole-program encoding does not grow: n=10 %+v, n=1000 %+v", whole[0], whole[1])
+	}
+}
+
+// TestMissingDefinitionPanics reaches valueOf's soundness guard through
+// hand-built systems: a read of an SSA variable with a nonzero index and
+// no defining equation must not be encoded as the initial type.
+func TestMissingDefinitionPanics(t *testing.T) {
+	base := buildSys(t, `<?php echo $x;`, nil)
+	bound := base.Checks[0].Origin.Bound
+	ref := func(name string, idx int) rename.Expr { return rename.Ref{V: rename.SSAVar{Name: name, Idx: idx}} }
+	check := func(arg rename.Expr, prefix int) constraint.Check {
+		return constraint.Check{Guard: constraint.True{}, Prefix: prefix,
+			Origin: &rename.Assert{Args: []rename.Arg{{Expr: arg}}, Bound: bound}}
+	}
+	cases := []struct {
+		name string
+		sys  *constraint.System
+		want string
+	}{
+		{"check reads an undefined index", &constraint.System{
+			Renamed: base.Renamed,
+			Checks:  []constraint.Check{check(ref("x", 1), 0)},
+		}, "x@1"},
+		{"equation's Prev is undefined", &constraint.System{
+			Renamed: base.Renamed,
+			Equations: []constraint.Equation{{
+				V: rename.SSAVar{Name: "x", Idx: 1}, Guard: constraint.Branch{ID: 0},
+				RHS:  rename.Const{Type: bound},
+				Prev: rename.SSAVar{Name: "x", Idx: 3},
+			}},
+			Checks: []constraint.Check{check(ref("x", 1), 1)},
+		}, "x@3"},
+		{"read defined only after the check", &constraint.System{
+			Renamed: base.Renamed,
+			Equations: []constraint.Equation{{
+				V: rename.SSAVar{Name: "y", Idx: 1}, Guard: constraint.True{},
+				RHS: ref("_GET", 0), Prev: rename.SSAVar{Name: "y"},
+			}},
+			Checks: []constraint.Check{check(ref("y", 1), 0)},
+		}, "y@1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("encoding a read with no definition did not panic")
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, c.want) {
+					t.Fatalf("panic %q does not name %s", msg, c.want)
+				}
+			}()
+			_, _ = EncodeCheck(c.sys, 0, Options{})
+		})
+	}
+}

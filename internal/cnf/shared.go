@@ -3,7 +3,6 @@ package cnf
 import (
 	"webssari/internal/constraint"
 	"webssari/internal/lattice"
-	"webssari/internal/rename"
 	"webssari/internal/sat"
 )
 
@@ -36,9 +35,9 @@ type EncodedAll struct {
 	HoldSelectors []sat.Lit
 	// TrivialUnsat marks checks decided at encode time (never violable).
 	TrivialUnsat []bool
-	// prefixBranches lists, per check, the branch IDs in its prefix (for
+	// prefixBranches lists, per check, the branches in its prefix (for
 	// blocking-clause construction and trace decoding).
-	prefixBranches [][]int
+	prefixBranches [][]constraint.BranchMark
 }
 
 // EncodeAllChecks builds the shared encoding for every check of the
@@ -51,7 +50,7 @@ func EncodeAllChecks(sys *constraint.System, opts Options) (*EncodedAll, error) 
 		lat:        sys.Renamed.AI.Lat,
 		f:          &sat.CNF{},
 		opts:       opts,
-		vals:       make(map[rename.SSAVar]vec),
+		vals:       make([]vec, len(sys.Equations)),
 		branch:     make(map[int]int),
 		guardCache: make(map[string]glit),
 	}
@@ -61,8 +60,8 @@ func EncodeAllChecks(sys *constraint.System, opts Options) (*EncodedAll, error) 
 	for _, m := range sys.Marks {
 		e.branchVar(m.ID)
 	}
-	for _, eq := range sys.Equations {
-		e.encodeEquation(eq)
+	for i := range sys.Equations {
+		e.encodeEquation(i, i)
 		if e.limit != nil {
 			return nil, e.limit
 		}
@@ -72,13 +71,14 @@ func EncodeAllChecks(sys *constraint.System, opts Options) (*EncodedAll, error) 
 		BranchVars:     e.branch,
 		Selectors:      make([]sat.Lit, len(sys.Checks)),
 		TrivialUnsat:   make([]bool, len(sys.Checks)),
-		prefixBranches: make([][]int, len(sys.Checks)),
+		prefixBranches: make([][]constraint.BranchMark, len(sys.Checks)),
 	}
 
 	for i, ch := range sys.Checks {
 		out.prefixBranches[i] = sys.PrefixBranches(ch)
 		sel := sat.Lit(e.newVar())
 		out.Selectors[i] = sel
+		e.deps = sys.CheckDeps(i)
 		if !e.encodeGatedNegation(ch, sel) {
 			out.TrivialUnsat[i] = true
 		}
@@ -88,6 +88,7 @@ func EncodeAllChecks(sys *constraint.System, opts Options) (*EncodedAll, error) 
 		for j, ch := range sys.Checks {
 			hold := sat.Lit(e.newVar())
 			out.HoldSelectors[j] = hold
+			e.deps = sys.CheckDeps(j)
 			e.encodeGatedHold(ch, hold)
 		}
 	}
@@ -186,10 +187,10 @@ func (e *encoder) encodeGatedNegation(ch constraint.Check, sel sat.Lit) bool {
 // prefix out of a SAT model.
 func (ea *EncodedAll) DecodeBranches(check int, model []bool) map[int]bool {
 	out := make(map[int]bool)
-	for _, id := range ea.prefixBranches[check] {
-		v := ea.BranchVars[id]
+	for _, m := range ea.prefixBranches[check] {
+		v := ea.BranchVars[m.ID]
 		if v < len(model) {
-			out[id] = model[v]
+			out[m.ID] = model[v]
 		}
 	}
 	return out
@@ -201,13 +202,13 @@ func (ea *EncodedAll) DecodeBranches(check int, model []bool) map[int]bool {
 // those branch IDs.
 func (ea *EncodedAll) BlockingClause(check int, model []bool, restrictTo map[int]bool) []sat.Lit {
 	out := []sat.Lit{ea.Selectors[check].Not()}
-	for _, id := range ea.prefixBranches[check] {
+	for _, m := range ea.prefixBranches[check] {
 		if restrictTo != nil {
-			if _, ok := restrictTo[id]; !ok {
+			if _, ok := restrictTo[m.ID]; !ok {
 				continue
 			}
 		}
-		v := ea.BranchVars[id]
+		v := ea.BranchVars[m.ID]
 		out = append(out, sat.MkLit(v, model[v]))
 	}
 	if len(out) == 1 {

@@ -23,7 +23,10 @@ package constraint
 
 import (
 	"fmt"
+	"math/bits"
+	"sort"
 	"strings"
+	"sync"
 
 	"webssari/internal/rename"
 )
@@ -252,8 +255,18 @@ type System struct {
 	Renamed   *rename.Program
 	Equations []Equation
 	Checks    []Check
-	// Marks lists every branch with its command-order position.
+	// Marks lists every branch with its command-order position, in
+	// ascending Tick order.
 	Marks []BranchMark
+
+	// The dependency index behind Cone, EquationDeps and CheckDeps,
+	// built once (by Build, or on first use for a System assembled by
+	// hand) and only read afterwards, so concurrent solves may share it.
+	// Equation i's edges are eqDeps[eqAt[i]:eqAt[i+1]] and check j's are
+	// chkDeps[chkAt[j]:chkAt[j+1]].
+	indexOnce      sync.Once
+	eqDeps, eqAt   []int32
+	chkDeps, chkAt []int32
 }
 
 // Build runs the constraint construction procedure over the whole renamed
@@ -262,19 +275,129 @@ func Build(p *rename.Program) *System {
 	s := &System{Renamed: p}
 	tick := 0
 	s.walk(p.Cmds, True{}, &tick)
+	s.indexOnce.Do(s.buildIndex)
 	return s
 }
 
-// PrefixBranches returns the IDs of every branch preceding the check in
-// command order — the BN variables of the formula B_i.
-func (s *System) PrefixBranches(c Check) []int {
-	var out []int
-	for _, m := range s.Marks {
-		if m.Tick < c.Tick {
-			out = append(out, m.ID)
+// PrefixBranches returns the branches preceding the check in command
+// order — the BN variables of the formula B_i. The result is a view of
+// Marks and must not be modified.
+func (s *System) PrefixBranches(c Check) []BranchMark {
+	n := sort.Search(len(s.Marks), func(i int) bool { return s.Marks[i].Tick >= c.Tick })
+	return s.Marks[:n:n]
+}
+
+// EquationDeps returns the dependency edges of equation i: the index of
+// the equation defining its Prev, then the defining equation of every
+// Ref in its RHS, depth first and left to right. An edge is -1 when the
+// variable has no defining equation before i: index 0 (the initial
+// value), or a malformed read the encoder must reject. The slice must
+// not be modified.
+func (s *System) EquationDeps(i int) []int32 {
+	s.indexOnce.Do(s.buildIndex)
+	return s.eqDeps[s.eqAt[i]:s.eqAt[i+1]]
+}
+
+// CheckDeps returns the dependency edges of check j: the defining
+// equation of every Ref in its arguments, in argument order and within
+// an argument as in EquationDeps, with -1 as there. The slice must not
+// be modified.
+func (s *System) CheckDeps(j int) []int32 {
+	s.indexOnce.Do(s.buildIndex)
+	return s.chkDeps[s.chkAt[j]:s.chkAt[j+1]]
+}
+
+// Cone returns the cone of influence of check j in ascending order: the
+// equations its arguments transitively depend on through RHS reads and
+// Prev links. With withPrior, the arguments of every earlier check are
+// roots too (the paper's incremental restriction assumes them). Guards
+// mention only branch variables, so they contribute no equations. The
+// prefix's other equations define variables from the branch variables
+// and from each other, and nothing in the cone reads them, so leaving
+// them out preserves B_i's models projected onto the branch variables.
+func (s *System) Cone(j int, withPrior bool) []int32 {
+	s.indexOnce.Do(s.buildIndex)
+	seen := make([]uint64, (s.Checks[j].Prefix+63)/64)
+	var stack []int32
+	size := 0
+	push := func(deps []int32) {
+		for _, d := range deps {
+			if d >= 0 && seen[d/64]&(1<<(d%64)) == 0 {
+				seen[d/64] |= 1 << (d % 64)
+				stack = append(stack, d)
+				size++
+			}
 		}
 	}
-	return out
+	push(s.CheckDeps(j))
+	if withPrior {
+		for k := 0; k < j; k++ {
+			push(s.CheckDeps(k))
+		}
+	}
+	for len(stack) > 0 {
+		d := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		push(s.EquationDeps(int(d)))
+	}
+	// The bitset already holds the cone in index order.
+	cone := make([]int32, 0, size)
+	for w, word := range seen {
+		for word != 0 {
+			cone = append(cone, int32(w*64+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	return cone
+}
+
+// visitRefs calls fn for every Ref in x, depth first and left to right —
+// the order of the edges EquationDeps and CheckDeps record.
+func visitRefs(x rename.Expr, fn func(rename.SSAVar)) {
+	switch x := x.(type) {
+	case rename.Ref:
+		fn(x.V)
+	case rename.Join:
+		for _, p := range x.Parts {
+			visitRefs(p, fn)
+		}
+	}
+}
+
+// buildIndex resolves every read of the system to its defining equation.
+// SSA indices count a name's assignments in command order, so the
+// equation defining name@k is the k-th equation assigning name.
+func (s *System) buildIndex() {
+	defs := make(map[string][]int32)
+	for i, eq := range s.Equations {
+		defs[eq.V.Name] = append(defs[eq.V.Name], int32(i))
+	}
+	// resolve returns the defining equation of v if it precedes limit.
+	resolve := func(v rename.SSAVar, limit int) int32 {
+		if v.Idx > 0 && v.Idx <= len(defs[v.Name]) {
+			if d := defs[v.Name][v.Idx-1]; int(d) < limit && s.Equations[d].V == v {
+				return d
+			}
+		}
+		return -1
+	}
+	s.eqAt = make([]int32, 1, len(s.Equations)+1)
+	for i, eq := range s.Equations {
+		s.eqDeps = append(s.eqDeps, resolve(eq.Prev, i))
+		visitRefs(eq.RHS, func(v rename.SSAVar) {
+			s.eqDeps = append(s.eqDeps, resolve(v, i))
+		})
+		s.eqAt = append(s.eqAt, int32(len(s.eqDeps)))
+	}
+	s.chkAt = make([]int32, 1, len(s.Checks)+1)
+	for _, ch := range s.Checks {
+		for _, arg := range ch.Origin.Args {
+			visitRefs(arg.Expr, func(v rename.SSAVar) {
+				s.chkDeps = append(s.chkDeps, resolve(v, ch.Prefix))
+			})
+		}
+		s.chkAt = append(s.chkAt, int32(len(s.chkDeps)))
+	}
 }
 
 // walk processes a command sequence under guard g and returns the

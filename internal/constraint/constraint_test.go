@@ -1,8 +1,10 @@
 package constraint
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -190,9 +192,9 @@ func TestPrefixBranchesIncludesEmptyArms(t *testing.T) {
 if ($pad) { }
 echo $_GET['x'];
 if ($after) { }`)
-	ids := sys.PrefixBranches(sys.Checks[0])
-	if len(ids) != 1 || ids[0] != 0 {
-		t.Fatalf("prefix branches = %v, want [0] (empty if before, not after)", ids)
+	marks := sys.PrefixBranches(sys.Checks[0])
+	if len(marks) != 1 || marks[0].ID != 0 {
+		t.Fatalf("prefix branches = %v, want branch 0 (empty if before, not after)", marks)
 	}
 }
 
@@ -263,5 +265,92 @@ func TestGuardAlgebraQuick(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestConeFollowsReadsAndPrev(t *testing.T) {
+	sys := buildSys(t, `<?php
+$a = $_GET['x'];
+$b = 'k';
+if ($c) { $a = 'safe'; }
+$d = $a . $e;
+echo $d;
+echo $b;`)
+	if len(sys.Equations) != 4 || len(sys.Checks) != 2 {
+		t.Fatalf("got %d equations, %d checks; want 4, 2:\n%s", len(sys.Equations), len(sys.Checks), sys)
+	}
+	// a@2's Prev is a@1 (equation 0); d@1 reads a@2 (equation 2) and the
+	// initial values of d and e.
+	if got := sys.EquationDeps(2); len(got) != 1 || got[0] != 0 {
+		t.Errorf("EquationDeps(2) = %v, want [0]", got)
+	}
+	want3 := []int32{-1}
+	visitRefs(sys.Equations[3].RHS, func(v rename.SSAVar) {
+		if v.Name == "a" {
+			want3 = append(want3, 2)
+		} else {
+			want3 = append(want3, -1)
+		}
+	})
+	if got := sys.EquationDeps(3); fmt.Sprint(got) != fmt.Sprint(want3) {
+		t.Errorf("EquationDeps(3) = %v, want %v", got, want3)
+	}
+	for _, c := range []struct {
+		check     int
+		withPrior bool
+		want      string
+	}{
+		{0, false, "[0 2 3]"},
+		{1, false, "[1]"},
+		{1, true, "[0 1 2 3]"},
+	} {
+		if got := fmt.Sprint(sys.Cone(c.check, c.withPrior)); got != c.want {
+			t.Errorf("Cone(%d, %v) = %s, want %s", c.check, c.withPrior, got, c.want)
+		}
+	}
+}
+
+func TestPrefixBranchesIsTickBounded(t *testing.T) {
+	sys := buildSys(t, `<?php
+if ($p) { echo $_GET['a']; }
+if ($q) { if ($r) { } }
+echo $_GET['b'];
+if ($s) { }
+echo $_GET['c'];`)
+	var got []string
+	for _, ch := range sys.Checks {
+		got = append(got, fmt.Sprint(sys.PrefixBranches(ch)))
+	}
+	want := []string{"[{0 1}]", "[{0 1} {1 3} {2 4}]", "[{0 1} {1 3} {2 4} {3 6}]"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("prefix branches = %v, want %v", got, want)
+	}
+}
+
+// TestIndexBuiltOnceUnderConcurrentUse checks that a System assembled
+// by hand builds its dependency index on first use, once, even when
+// that first use comes from several goroutines (run with -race).
+func TestIndexBuiltOnceUnderConcurrentUse(t *testing.T) {
+	built := buildSys(t, `<?php
+$a = $_GET['x'];
+if ($c) { $a = 'safe'; }
+$b = $a . 'x';
+echo $b;`)
+	want := fmt.Sprint(built.Cone(0, false))
+	sys := &System{Renamed: built.Renamed, Equations: built.Equations, Checks: built.Checks, Marks: built.Marks}
+	var wg sync.WaitGroup
+	got := make([]string, 8)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = fmt.Sprint(sys.Cone(0, false))
+		}()
+	}
+	wg.Wait()
+	for g, cone := range got {
+		if cone != want {
+			t.Errorf("goroutine %d: cone %s, want %s", g, cone, want)
+		}
 	}
 }

@@ -39,10 +39,11 @@ type Options struct {
 	// is reported Incomplete.
 	Ctx context.Context
 	// MaxVars and MaxClauses cap each CNF encoding — one per assertion
-	// in ModePerAssert, the whole-program encoding in ModeShared. An
-	// encoding that trips a cap degrades the assertions it covers to
-	// Unknown instead of exhausting memory. Zero means DefaultMaxVars /
-	// DefaultMaxClauses; negative disables the cap.
+	// in ModePerAssert, sliced to the assertion's cone of influence plus
+	// its prefix's branch variables, and the whole-program encoding in
+	// ModeShared. An encoding that trips a cap degrades the assertions
+	// it covers to Unknown instead of exhausting memory. Zero means
+	// DefaultMaxVars / DefaultMaxClauses; negative disables the cap.
 	MaxVars    int
 	MaxClauses int
 	// Hooks injects faults for the robustness test harness; all fields

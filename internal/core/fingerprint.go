@@ -64,10 +64,10 @@ func CheckFingerprint(sys *constraint.System, idx int) string {
 	for _, eq := range sys.Equations[:c.Prefix] {
 		fpWriteStr(h, eq.String())
 	}
-	ids := sys.PrefixBranches(c)
-	fpWriteInt(h, len(ids))
-	for _, id := range ids {
-		fpWriteInt(h, id)
+	marks := sys.PrefixBranches(c)
+	fpWriteInt(h, len(marks))
+	for _, m := range marks {
+		fpWriteInt(h, m.ID)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:checkFingerprintLen]
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"webssari"
+	"webssari/internal/corpus"
 )
 
 // stripped returns the canonical comparison form of a report: the JSON
@@ -81,6 +82,70 @@ func TestSolverModesByteIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFigure10PerAssertMatchesShared is the full-tree differential for
+// the cone-of-influence encoding: on the seed-2004 Figure-10 tree (the
+// tree `phpgen -figure10` writes, 970 files), the sliced per-assert
+// solve and the whole-program shared solve must produce byte-identical
+// file reports, and the totals must stay Figure 10's 969 TS / 578 BMC.
+func TestFigure10PerAssertMatchesShared(t *testing.T) {
+	if testing.Short() {
+		t.Skip("verifies the 970-file Figure-10 tree twice")
+	}
+	dir := t.TempDir()
+	for _, prof := range corpus.Figure10() {
+		prof.Files = max(2, prof.TS)
+		prof.Statements = max(prof.TS*4+40, 4000)
+		proj := corpus.Generate(prof, 2004)
+		for _, name := range proj.FileNames() {
+			path := filepath.Join(dir, strings.ReplaceAll(prof.Name, " ", "_"), filepath.FromSlash(name))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, proj.Sources[name], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	perAssert, err := webssari.VerifyDir(dir)
+	if err != nil {
+		t.Fatalf("per-assert VerifyDir: %v", err)
+	}
+	shared, err := webssari.VerifyDir(dir, webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverShared}))
+	if err != nil {
+		t.Fatalf("shared VerifyDir: %v", err)
+	}
+	if perAssert.Symptoms != 969 || perAssert.Groups != 578 {
+		t.Errorf("per-assert totals %d TS / %d BMC, want 969 / 578", perAssert.Symptoms, perAssert.Groups)
+	}
+	if len(perAssert.Files) != 970 || len(perAssert.Failures) != 0 || perAssert.IncompleteFiles != 0 {
+		t.Errorf("per-assert run: %d files, %d failures, %d incomplete; want 970, 0, 0",
+			len(perAssert.Files), len(perAssert.Failures), perAssert.IncompleteFiles)
+	}
+	if len(shared.Files) != len(perAssert.Files) {
+		t.Fatalf("shared run has %d files, per-assert %d", len(shared.Files), len(perAssert.Files))
+	}
+	if shared.Symptoms != perAssert.Symptoms || shared.Groups != perAssert.Groups ||
+		shared.VulnerableFiles != perAssert.VulnerableFiles || shared.IncompleteFiles != perAssert.IncompleteFiles {
+		t.Errorf("totals diverge: shared %d/%d/%d/%d, per-assert %d/%d/%d/%d (TS/BMC/vulnerable/incomplete)",
+			shared.Symptoms, shared.Groups, shared.VulnerableFiles, shared.IncompleteFiles,
+			perAssert.Symptoms, perAssert.Groups, perAssert.VulnerableFiles, perAssert.IncompleteFiles)
+	}
+	diverged := 0
+	for i, ref := range perAssert.Files {
+		refJSON, refText := stripped(t, ref)
+		gotJSON, gotText := stripped(t, shared.Files[i])
+		if gotJSON != refJSON || gotText != refText {
+			if diverged++; diverged <= 3 {
+				t.Errorf("%s: shared report diverges from per-assert:\n got %s\nwant %s", ref.File, gotJSON, refJSON)
+			}
+		}
+	}
+	if diverged > 0 {
+		t.Errorf("%d of %d file reports diverge", diverged, len(perAssert.Files))
 	}
 }
 

@@ -503,7 +503,11 @@ type ResourceLimits struct {
 	// and call unfolding (default flow.DefaultMaxCmds).
 	MaxStatements int
 	// MaxCNFVars and MaxCNFClauses cap each assertion's encoded formula
-	// (defaults core.DefaultMaxVars / core.DefaultMaxClauses).
+	// (defaults core.DefaultMaxVars / core.DefaultMaxClauses). In the
+	// default per-assert mode that formula is sliced to the assertion's
+	// cone of influence plus its prefix's branch variables, so code the
+	// assertion does not depend on never trips a cap; in shared mode the
+	// caps apply to the one whole-program encoding.
 	MaxCNFVars    int
 	MaxCNFClauses int
 }
